@@ -8,8 +8,8 @@ effort a predictor saves.
 
 import numpy as np
 
-from fedbeam.channel import throughput_ratio, topk, topk_accuracy
-from fedbeam.dataset import SynthConfig, synthesize_scene
+from fedbeam.channel import throughput_ratio, topk_accuracy
+from fedbeam.dataset import Dataset, SynthConfig, synthesize_scene
 
 cfg = SynthConfig(obstacles=0)
 cb = cfg.codebook()
@@ -35,14 +35,17 @@ for i, row in enumerate(norm):
 print("\nmetrics on 400 synthetic scenes, oracle scorer vs random scorer:")
 scenes = [synthesize_scene(cfg, (rng_x, rng_y), [], cb)
           for rng_x, rng_y in np.random.default_rng(0).uniform((0, 0), (10, 100), (400, 2))]
-labels = [s.label for s in scenes]
-rows = [s.powers for s in scenes]
-rng = np.random.default_rng(1)
+ds = Dataset(meta=meta, samples=scenes)
+labels, powers = ds.labels(), ds.powers()
+# One (N, C) score matrix per scorer gives its whole K curve.
+random_scores = np.random.default_rng(1).standard_normal(powers.shape)
+k_max = powers.shape[1]
+o_acc, o_r = topk_accuracy(powers, labels, k_max), throughput_ratio(powers, powers, k_max)
+r_acc, r_r = (topk_accuracy(random_scores, labels, k_max),
+              throughput_ratio(random_scores, powers, k_max))
 print("   K | oracle acc | oracle R | random acc | random R")
 for k in (1, 2, 4, 8, 16, 64):
-    oracle_sets = [topk(s.powers, k) for s in scenes]
-    random_sets = [topk(rng.standard_normal(64), k) for _ in scenes]
-    print(f"  {k:2d} |   {topk_accuracy(oracle_sets, labels):7.3f}  |  {throughput_ratio(rows, oracle_sets):6.3f}  "
-          f"|   {topk_accuracy(random_sets, labels):7.3f}  |  {throughput_ratio(rows, random_sets):6.3f}")
+    print(f"  {k:2d} |   {o_acc[k - 1]:7.3f}  |  {o_r[k - 1]:6.3f}  "
+          f"|   {r_acc[k - 1]:7.3f}  |  {r_r[k - 1]:6.3f}")
 print("the oracle scorer ranks by true power, so it is perfect at every K;")
 print("a random scorer needs K near the full codebook to catch up.")

@@ -8,6 +8,11 @@ subcarriers,
 and the optimal pair is the argmax of that matrix. Beam-pair labels are
 flattened transmit-major: label = i * C_r + j, matching row-major storage
 of the power matrix. All tie-breaks go to the lowest flat index.
+
+The two headline metrics work on a whole test set at once: an (N, C) score
+matrix (model probabilities or any other per-pair scores), the N labels or
+the (N, C) powers from Dataset.powers(), and K_max. Each returns its curve
+for K = 1..K_max as an array, from one ranking of every row.
 """
 
 from dataclasses import dataclass
@@ -98,9 +103,9 @@ def beam_powers(ch, cb):
             f"codebook antennas ({cb.rx.shape[1]} rx, {cb.tx.shape[1]} tx) do not "
             f"match channel shape ({n_r} rx, {n_t} tx)"
         )
-    # gains[n, i, j] = w_j^H H_n f_i
-    gains = np.einsum("ja,nab,ib->nij", cb.rx.conj(), ch.h, cb.tx, optimize=True)
-    return np.sum(np.abs(gains) ** 2, axis=0)
+    # gains[n, j, i] = w_j^H H_n f_i
+    gains = cb.rx.conj() @ ch.h @ cb.tx.T
+    return np.sum(np.abs(gains) ** 2, axis=0).T
 
 
 def beam_powers_naive(ch, cb):
@@ -135,45 +140,50 @@ def topk(scores, k):
     return order[:k]
 
 
-def topk_accuracy(predictions, labels):
-    """Fraction of samples whose true label appears in its predicted set."""
-    if len(predictions) != len(labels):
-        raise ValueError(
-            f"got {len(predictions)} prediction sets for {len(labels)} labels"
-        )
-    if len(labels) == 0:
+def _ranked(probs, rows, k_max, what):
+    """Checked (N, C) scores -> the k_max best class indices per row, best
+    first, ties to the lowest index."""
+    probs = np.asarray(probs)
+    if probs.ndim != 2:
+        raise ValueError(f"scores must be an (N, C) array, got shape {probs.shape}")
+    n, n_classes = probs.shape
+    if len(rows) != n:
+        raise ValueError(f"got {n} score rows for {len(rows)} {what}")
+    if n == 0:
         raise ValueError("need at least one sample")
-    hits = sum(1 for s, b in zip(predictions, labels) if b in np.asarray(s))
-    return hits / len(labels)
+    if not 1 <= k_max <= n_classes:
+        raise ValueError(f"k_max must be in [1, {n_classes}], got {k_max}")
+    return np.argsort(-probs, axis=1, kind="stable")[:, :k_max]
 
 
-def throughput_ratio(power_rows, predictions):
-    """Achievable-rate fraction of the predicted sets against the optimum.
+def topk_accuracy(probs, labels, k_max):
+    """Top-K accuracy for K = 1..k_max: the fraction of samples whose label
+    is among the K highest scores of its row of the (N, C) score matrix."""
+    labels = np.asarray(labels)
+    order = _ranked(probs, labels, k_max, "labels")
+    hits_at_rank = np.sum(order == labels[:, None], axis=0)
+    return np.cumsum(hits_at_rank) / len(labels)
 
-    Sums log2(1 + y) of the best pair inside each sample's predicted set and
-    divides by the same sum for each sample's true optimum. Requires every
-    sample to carry its power matrix; raises MetricUnavailableError otherwise.
+
+def throughput_ratio(probs, powers, k_max):
+    """Achievable-rate fraction of the top-K sets against the optimum, K = 1..k_max.
+
+    For each K, sums log2(1 + y) of the strongest pair among each sample's
+    K highest scores and divides by the same sum over each sample's true
+    optimum. `powers` is the (N, C) matrix from Dataset.powers(); None
+    (some sample has no powers) raises MetricUnavailableError.
     """
-    if len(power_rows) != len(predictions):
-        raise ValueError(
-            f"got {len(power_rows)} power rows for {len(predictions)} prediction sets"
+    if powers is None:
+        raise MetricUnavailableError(
+            "throughput ratio needs per-sample beam powers; a sample has none"
         )
-    if len(predictions) == 0:
-        raise ValueError("need at least one sample")
-    num = 0.0
-    den = 0.0
-    for y, s in zip(power_rows, predictions):
-        if y is None:
-            raise MetricUnavailableError(
-                "throughput ratio needs per-sample beam powers; a sample has none"
-            )
-        flat = np.asarray(y).reshape(-1)
-        s = np.asarray(s)
-        if s.size == 0:
-            raise ValueError("empty prediction set")
-        num += np.log2(1.0 + np.max(flat[s]))
-        den += np.log2(1.0 + np.max(flat))
-    if den == 0.0:
+    powers = np.asarray(powers, dtype=np.float64)
+    order = _ranked(probs, powers, k_max, "power rows")
+    if powers.shape != np.shape(probs):
+        raise ValueError(f"powers shape {powers.shape} does not match scores {np.shape(probs)}")
+    best_in_set = np.maximum.accumulate(np.take_along_axis(powers, order, axis=1), axis=1)
+    denom = np.sum(np.log2(1.0 + powers.max(axis=1)))
+    if denom == 0.0:
         # All-zero powers: any predicted set achieves the (zero) optimum.
-        return 1.0
-    return num / den
+        return np.ones(k_max)
+    return np.sum(np.log2(1.0 + best_in_set), axis=0) / denom

@@ -363,8 +363,6 @@ def build_parser():
         p.add_argument("--config", required=config_required, help="experiment config JSON")
         p.add_argument("--out", help="output directory (must exist)")
         p.add_argument("--seed", type=int, help="override the config base seed")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker cap; results are identical for any value")
 
     p_synth = sub.add_parser("synth", help="generate and save a synthetic dataset")
     common(p_synth)
@@ -380,8 +378,6 @@ def build_parser():
     p_eval.add_argument("--k-max", type=int, default=10)
     p_eval.add_argument("--config", help="optional config supplying the grid")
     p_eval.add_argument("--out", required=True)
-    p_eval.add_argument("--workers", type=int, default=1,
-                        help="worker cap; results are identical for any value")
     p_eval.set_defaults(func=cmd_eval)
 
     p_flops = sub.add_parser("flops", help="print parameter and FLOP counts")
@@ -394,9 +390,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "workers", 1) is not None and getattr(args, "workers", 1) < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         return args.func(args)
     except ConfigError as e:

@@ -170,9 +170,12 @@ class Dataset:
     def labels(self):
         return np.array([s.label for s in self.samples], dtype=np.int64)
 
-    def power_rows(self):
-        """Per-sample flat power vectors (None entries where absent)."""
-        return [s.powers for s in self.samples]
+    def powers(self):
+        """(N, C_t*C_r) float64 power matrix, or None when any sample lacks powers."""
+        if any(s.powers is None for s in self.samples):
+            return None
+        rows = np.array([s.powers for s in self.samples], dtype=np.float64)
+        return rows.reshape(-1, self.meta.n_pairs)
 
 
 # ---------------------------------------------------------------------------

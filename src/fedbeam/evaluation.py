@@ -3,8 +3,9 @@
 evaluate() runs one eval-mode forward pass per test sample and reports, for
 every K up to K_max, the top-K accuracy and (when per-sample beam powers are
 available) the throughput ratio of the best pair inside the predicted set
-against the true optimum. Both curves are non-decreasing in K and reach 1.0
-at K = C_t * C_r.
+against the true optimum, both from channel.topk_accuracy/throughput_ratio
+over the (N, C) probability matrix. Both curves are non-decreasing in K and
+reach 1.0 at K = C_t * C_r.
 """
 
 import csv
@@ -15,6 +16,7 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 from . import nn
+from .channel import throughput_ratio, topk_accuracy
 from .errors import NumericError
 from .fedavg import predict_proba, preprocess_dataset
 
@@ -169,28 +171,11 @@ def evaluate(theta, bn_state, spec, ds_test, grid, k_max=None):
     probs = predict_proba(spec, theta, bn_state, inputs)
     if probs.shape[1] != n_classes:
         raise ValueError(f"model emits {probs.shape[1]} classes, dataset has {n_classes}")
-
-    order = np.argsort(-probs, axis=1, kind="stable")
-    ranks = np.argmax(order == labels[:, None], axis=1)
-    accuracy = np.array([np.mean(ranks < k) for k in range(1, k_max + 1)])
-
-    throughput = None
-    rows = ds_test.power_rows()
-    if all(r is not None for r in rows):
-        flat = np.stack(rows)
-        ordered_powers = np.take_along_axis(flat, order, axis=1)
-        best_in_prefix = np.maximum.accumulate(ordered_powers[:, :k_max], axis=1)
-        denom = np.sum(np.log2(1.0 + flat.max(axis=1)))
-        if denom == 0.0:
-            throughput = np.ones(k_max)
-        else:
-            numer = np.sum(np.log2(1.0 + best_in_prefix), axis=0)
-            throughput = numer / denom
-
+    powers = ds_test.powers()
     return EvalReport(
         k_values=np.arange(1, k_max + 1),
-        accuracy=accuracy,
-        throughput=throughput,
+        accuracy=topk_accuracy(probs, labels, k_max),
+        throughput=None if powers is None else throughput_ratio(probs, powers, k_max),
         param_count=nn.count_params(spec),
         flops=nn.count_flops(spec),
         n_samples=len(ds_test),

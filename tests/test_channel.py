@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -137,62 +140,138 @@ class TestTopk:
             topk(np.array([1.0, 2.0]), 3)
 
 
+def ranked_loop(row, k):
+    """The k best classes of one score row, best first, ties to the lower index."""
+    return sorted(range(len(row)), key=lambda c: (-row[c], c))[:k]
+
+
+def topk_accuracy_loop(predictions, labels):
+    """Per-sample-list oracle: fraction of samples whose label is in its set."""
+    if len(predictions) != len(labels):
+        raise ValueError(f"got {len(predictions)} prediction sets for {len(labels)} labels")
+    hits = sum(1 for s, b in zip(predictions, labels) if b in s)
+    return hits / len(labels)
+
+
+def throughput_ratio_loop(power_rows, predictions):
+    """Per-sample-list oracle: summed log2(1 + best power in the set) over the
+    same sum for each sample's optimum; None rows make the metric unavailable."""
+    num = den = 0.0
+    for y, s in zip(power_rows, predictions):
+        if y is None:
+            raise MetricUnavailableError("a sample has no powers")
+        flat = [float(v) for v in np.asarray(y).reshape(-1)]
+        num += math.log2(1.0 + max(flat[c] for c in s))
+        den += math.log2(1.0 + max(flat))
+    return 1.0 if den == 0.0 else num / den
+
+
+def oracle_curves(probs, labels, powers, k_max):
+    acc, ratio = [], []
+    for k in range(1, k_max + 1):
+        sets = [ranked_loop(row, k) for row in probs.tolist()]
+        acc.append(topk_accuracy_loop(sets, labels.tolist()))
+        ratio.append(throughput_ratio_loop(list(powers), sets))
+    return acc, ratio
+
+
 class TestAccuracy:
     def test_exhaustive_set_is_perfect(self):
         rng = np.random.default_rng(5)
         labels = rng.integers(0, 8, size=20)
-        preds = [topk(rng.standard_normal(8), 8) for _ in labels]
-        assert topk_accuracy(preds, labels) == 1.0
+        probs = rng.standard_normal((20, 8))
+        assert topk_accuracy(probs, labels, 8)[-1] == 1.0
 
     def test_random_scorer_rate(self):
         # K=10 of 256 labels: hit rate should be ~10/256
         rng = np.random.default_rng(0)
         n = 4000
         labels = rng.integers(0, 256, size=n)
-        preds = [topk(rng.standard_normal(256), 10) for _ in range(n)]
-        acc = topk_accuracy(preds, labels)
+        acc = topk_accuracy(rng.standard_normal((n, 256)), labels, 10)[9]
         p = 10 / 256
         se = np.sqrt(p * (1 - p) / n)
         assert abs(acc - p) < 4 * se
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            topk_accuracy([np.array([0])], [0, 1])
+        with pytest.raises(ValueError, match="score rows"):
+            topk_accuracy(np.zeros((1, 2)), [0, 1], 1)
 
     def test_monotone_in_k(self):
         rng = np.random.default_rng(9)
         labels = rng.integers(0, 16, size=50)
-        scores = [rng.standard_normal(16) for _ in labels]
-        accs = [topk_accuracy([topk(s, k) for s in scores], labels) for k in range(1, 17)]
+        accs = topk_accuracy(rng.standard_normal((50, 16)), labels, 16)
+        assert accs.shape == (16,)
         assert all(a <= b for a, b in zip(accs, accs[1:]))
         assert accs[-1] == 1.0
+
+    def test_ties_go_to_lower_index(self):
+        probs = np.array([[0.5, 0.5, 0.0], [0.2, 0.4, 0.4]])
+        np.testing.assert_array_equal(topk_accuracy(probs, [0, 1], 2), [1.0, 1.0])
 
 
 class TestThroughputRatio:
     def test_optimal_sets_give_one(self):
         rng = np.random.default_rng(2)
-        rows = [rng.uniform(0, 5, size=(4, 2)) for _ in range(10)]
-        preds = [np.array([optimal_beam(y)]) for y in rows]
-        assert throughput_ratio(rows, preds) == pytest.approx(1.0)
+        powers = rng.uniform(0, 5, size=(10, 8))
+        np.testing.assert_allclose(throughput_ratio(powers, powers, 8), 1.0, rtol=1e-12)
 
     def test_hand_arithmetic(self):
         # optimum power 3, best-in-set power 1 -> log2(2)/log2(4) = 0.5
-        y = np.array([[3.0, 1.0]])
-        assert throughput_ratio([y], [np.array([1])]) == pytest.approx(0.5)
+        ratio = throughput_ratio(np.array([[0.0, 1.0]]), np.array([[3.0, 1.0]]), 2)
+        np.testing.assert_allclose(ratio, [0.5, 1.0])
 
     def test_missing_powers_is_unavailable(self):
         with pytest.raises(MetricUnavailableError):
-            throughput_ratio([None], [np.array([0])])
+            throughput_ratio(np.zeros((1, 2)), None, 1)
+
+    def test_all_zero_powers_give_one(self):
+        ratio = throughput_ratio(np.array([[0.2, 0.8], [0.9, 0.1]]), np.zeros((2, 2)), 2)
+        np.testing.assert_array_equal(ratio, [1.0, 1.0])
 
     def test_monotone_in_k_and_bounded(self):
         rng = np.random.default_rng(4)
-        rows = [rng.uniform(0, 5, size=8) for _ in range(30)]
-        scores = [rng.standard_normal(8) for _ in range(30)]
-        ratios = []
-        for k in range(1, 9):
-            preds = [topk(s, k) for s in scores]
-            r = throughput_ratio(rows, preds)
-            assert 0.0 <= r <= 1.0 + 1e-12
-            ratios.append(r)
+        powers = rng.uniform(0, 5, size=(30, 8))
+        ratios = throughput_ratio(rng.standard_normal((30, 8)), powers, 8)
+        assert ratios.shape == (8,)
+        assert np.all((ratios >= 0.0) & (ratios <= 1.0 + 1e-12))
         assert all(a <= b + 1e-12 for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] == pytest.approx(1.0)
+
+
+class TestCurvesMatchLoopOracles:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_cases_with_forced_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        n, c = int(rng.integers(1, 40)), int(rng.integers(1, 20))
+        probs = rng.choice([0.1, 0.2, 0.3], size=(n, c)) if seed % 2 else rng.random((n, c))
+        labels = rng.integers(0, c, size=n)
+        powers = rng.choice([0.0, 1.0, 2.5, rng.uniform(0, 9)], size=(n, c))
+        for k_max in sorted({1, max(1, c // 2), c}):
+            want_acc, want_ratio = oracle_curves(probs, labels, powers, k_max)
+            assert topk_accuracy(probs, labels, k_max).tolist() == want_acc
+            np.testing.assert_allclose(throughput_ratio(probs, powers, k_max), want_ratio,
+                                       rtol=0, atol=1e-12)
+
+    def test_missing_powers_unavailable_in_both(self):
+        probs = np.ones((2, 3))
+        with pytest.raises(MetricUnavailableError):
+            throughput_ratio_loop([np.ones(3), None], [[0], [0]])
+        with pytest.raises(MetricUnavailableError):
+            throughput_ratio(probs, None, 2)
+
+    @pytest.mark.parametrize("probs,rows,k_max,match", [
+        (np.zeros((2, 3)), np.zeros(3), 1, "score rows"),
+        (np.zeros((0, 3)), np.zeros(0), 1, "at least one"),
+        (np.zeros((2, 3)), np.zeros(2), 0, "k_max"),
+        (np.zeros((2, 3)), np.zeros(2), 4, "k_max"),
+        (np.zeros(3), np.zeros(3), 1, "(N, C)"),
+    ])
+    def test_invalid_input_rejected(self, probs, rows, k_max, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            topk_accuracy(probs, rows.astype(int), k_max)
+        with pytest.raises(ValueError, match=re.escape(match)):
+            throughput_ratio(probs, np.zeros((len(rows), 3)), k_max)
+
+    def test_powers_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="does not match"):
+            throughput_ratio(np.zeros((2, 3)), np.zeros((2, 4)), 1)

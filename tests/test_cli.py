@@ -108,6 +108,18 @@ class TestTrain:
         assert lines[0].startswith("round,")
         assert len(lines) == 3  # header + 2 rounds
 
+    def test_federated_last_round_matches_report(self, tmp_path):
+        # k_max equals accuracy_top_k, so the last round and the final report
+        # score the same model at the same K.
+        cfg_path = write_config(tmp_path, micro_config(mode="federated", k_max=3))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["train", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+        last = (out / "rounds.csv").read_text().splitlines()[-1].split(",")
+        report = json.loads((out / "report.json").read_text())
+        assert last[2] == f"{report['accuracy'][2]:.6f}"
+        assert last[3] == f"{report['throughput_ratio'][2]:.6f}"
+
     def test_identical_runs_identical_reports(self, tmp_path):
         cfg_path = write_config(tmp_path, micro_config())
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -196,6 +208,14 @@ class TestEval:
                      "--out", str(eval_out)]) == EXIT_OK
         assert "NA" in capsys.readouterr().out
         assert ",NA" in (eval_out / "sweep.csv").read_text()
+
+    def test_workers_flag_is_unknown(self, tmp_path, capsys):
+        cfg_path, out = self._train(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--checkpoint", str(out / "model.fbnn"),
+                  "--dataset", str(out / "test.fbds"), "--out", str(out), "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_wrong_checkpoint_path_exit_2(self, tmp_path):
         cfg_path, out = self._train(tmp_path)

@@ -65,6 +65,23 @@ class TestSampleInvariants:
             Dataset(meta=small_meta(), samples=[s])
 
 
+class TestPowers:
+    def test_stacks_rows_as_float64(self):
+        rng = np.random.default_rng(1)
+        samples = [one_sample(rng=rng) for _ in range(3)]
+        powers = Dataset(meta=small_meta(), samples=samples).powers()
+        assert powers.dtype == np.float64 and powers.shape == (3, 4)
+        np.testing.assert_array_equal(powers, np.stack([s.powers for s in samples]))
+
+    def test_one_missing_row_makes_none(self):
+        rng = np.random.default_rng(2)
+        samples = [one_sample(rng=rng), one_sample(with_powers=False, rng=rng)]
+        assert Dataset(meta=small_meta(), samples=samples).powers() is None
+
+    def test_empty_dataset_gives_empty_matrix(self):
+        assert Dataset(meta=small_meta(), samples=[]).powers().shape == (0, 4)
+
+
 class TestRoundTrip:
     def test_empty_dataset(self, tmp_path):
         ds = Dataset(meta=small_meta(), samples=[])
