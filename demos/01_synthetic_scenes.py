@@ -38,9 +38,9 @@ print(f"\npoint-cloud sizes: min {cloud_sizes.min()}, median {int(np.median(clou
 
 # render one scene's occupancy grid; the vehicle is 'V', occupied cells '#'
 sample = ds.samples[int(np.argmax(cloud_sizes))]
-grid = lidar_to_grid(sample, default_grid())
+cells = lidar_to_grid(sample, default_grid())  # (20, 200) int8 codes
 glyphs = {0: ".", 1: "#", -1: "V", -2: "B"}
 print(f"\nbusiest scene (label {sample.label}, {len(sample.cloud)} points), "
       "0.5 m cells, street left-to-right (every 2nd column):")
-for row in grid.cells[:, ::2]:
+for row in cells[:, ::2]:
     print("  " + "".join(glyphs[int(v)] for v in row))

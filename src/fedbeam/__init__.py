@@ -20,7 +20,6 @@ from .dataset import (
     Dataset,
     DatasetMeta,
     IngestSpec,
-    Partition,
     Sample,
     SynthConfig,
     export_exchange,
@@ -73,6 +72,6 @@ from .nn import (
     save_checkpoint,
     sgd_step,
 )
-from .preprocess import GridConfig, OccupancyGrid, default_grid, grid_to_input, lidar_to_grid
+from .preprocess import GridConfig, default_grid, lidar_to_grid
 
 __version__ = "0.1.0"

@@ -65,6 +65,21 @@ def _require(cond, path, message):
         raise ConfigError(f"{path}: {message}")
 
 
+def _int(value, path, minimum=None):
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}: must be an integer, got {value!r}") from None
+    _require(minimum is None or n >= minimum, path, f"must be >= {minimum}")
+    return n
+
+
+def _object(raw, key):
+    value = raw.get(key, {})
+    _require(isinstance(value, dict), key, "must be an object")
+    return dict(value)
+
+
 def _build_synth(raw, path):
     try:
         return SynthConfig(**raw)
@@ -94,9 +109,9 @@ def load_experiment_config(path, seed_override=None):
     if "synthetic" in ds:
         synth = ds["synthetic"]
         _require(isinstance(synth, dict), "dataset.synthetic", "must be an object")
-        _require("n_train" in synth and int(synth["n_train"]) >= 0,
-                 "dataset.synthetic.n_train", "required and must be >= 0")
-        _require(int(synth.get("n_test", 0)) >= 0, "dataset.synthetic.n_test", "must be >= 0")
+        _require("n_train" in synth, "dataset.synthetic.n_train", "required")
+        _int(synth["n_train"], "dataset.synthetic.n_train", 0)
+        _int(synth.get("n_test", 0), "dataset.synthetic.n_test", 0)
         _build_synth({k: tuple(v) if isinstance(v, list) else v
                       for k, v in synth.items() if k not in ("n_train", "n_test")},
                      "dataset.synthetic")
@@ -135,16 +150,16 @@ def load_experiment_config(path, seed_override=None):
     mode = raw.get("mode", "central")
     _require(mode in ("central", "federated"), "mode", f"must be central or federated, got {mode!r}")
 
-    seed = int(raw.get("seed", 0)) if seed_override is None else int(seed_override)
+    seed = _int(raw.get("seed", 0), "seed") if seed_override is None else int(seed_override)
 
-    central_raw = dict(raw.get("central", {}))
+    central_raw = _object(raw, "central")
     central_raw.setdefault("seed", seed)
     try:
         central = CentralTrainConfig(**central_raw)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"central: {e}") from e
 
-    fed_raw = dict(raw.get("federated", {}))
+    fed_raw = _object(raw, "federated")
     fed_raw.setdefault("partition_seed", seed + 10)
     fed_raw.setdefault("init_seed", seed + 11)
     fed_raw.setdefault("shuffle_seed", seed + 12)
@@ -153,10 +168,8 @@ def load_experiment_config(path, seed_override=None):
     except (TypeError, ValueError) as e:
         raise ConfigError(f"federated: {e}") from e
 
-    k_max = int(raw.get("k_max", 10))
-    _require(k_max >= 1, "k_max", "must be >= 1")
-    n_runs = int(raw.get("n_runs", 1))
-    _require(n_runs >= 1, "n_runs", "must be >= 1")
+    k_max = _int(raw.get("k_max", 10), "k_max", 1)
+    n_runs = _int(raw.get("n_runs", 1), "n_runs", 1)
     _require(not (n_runs > 1 and mode == "federated"),
              "n_runs", "multi-run confidence intervals are central-mode only")
 

@@ -28,7 +28,6 @@ __all__ = [
     "Sample",
     "DatasetMeta",
     "Dataset",
-    "Partition",
     "SynthConfig",
     "save_dataset",
     "load_dataset",
@@ -276,26 +275,9 @@ def load_dataset(path):
 # Partitioning
 
 
-@dataclass
-class Partition:
-    """Disjoint per-vehicle index lists covering part or all of a dataset."""
-
-    assignments: list
-
-    def __post_init__(self):
-        seen = set()
-        for a in self.assignments:
-            idx = set(int(i) for i in a)
-            if idx & seen:
-                raise ValueError("partition lists overlap")
-            seen |= idx
-
-    def __len__(self):
-        return len(self.assignments)
-
-
 def partition_uniform(ds, v, seed):
-    """Uniform-random disjoint split into v local datasets.
+    """Uniform-random disjoint split into v local datasets: a list of v
+    index arrays, slices of one permutation of range(N).
 
     The first (N mod v) vehicles receive one extra sample, so sizes differ by
     at most one. Deterministic for a fixed (dataset size, v, seed).
@@ -305,15 +287,7 @@ def partition_uniform(ds, v, seed):
         raise ValueError(f"need at least one vehicle, got {v}")
     if v > n:
         raise ValueError(f"cannot split {n} samples across {v} vehicles")
-    perm = np.random.default_rng(seed).permutation(n)
-    base, extra = divmod(n, v)
-    assignments = []
-    start = 0
-    for k in range(v):
-        size = base + (1 if k < extra else 0)
-        assignments.append(perm[start : start + size].copy())
-        start += size
-    return Partition(assignments=assignments)
+    return np.array_split(np.random.default_rng(seed).permutation(n), v)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ top-K throughput ratio, read off the channel.topk_accuracy and
 channel.throughput_ratio curves of one (N, C) probability matrix.
 
 Batch-norm running statistics ride along with the broadcast model and are
-combined by unweighted averaging across clients (local datasets are
-equal-sized by construction).
+combined by unweighted averaging across clients, as the deltas are.
+partition_uniform sizes differ by up to one sample, and neither average
+weights a client by its local dataset size.
 """
 
 import csv
@@ -28,7 +29,7 @@ import numpy as np
 from . import nn
 from .channel import topk_accuracy, throughput_ratio
 from .errors import NumericError
-from .preprocess import grid_to_input, lidar_to_grid
+from .preprocess import lidar_to_grid
 
 __all__ = [
     "FedConfig",
@@ -62,7 +63,6 @@ class FedConfig:
     shuffle_seed: int = 0
     target_accuracy: float | None = None
     accuracy_top_k: int = 10
-    reset_schedule_each_round: bool = False
 
     def __post_init__(self):
         if self.vehicles < 1:
@@ -110,8 +110,11 @@ def client_rngs(shuffle_seed, vehicles):
 
 
 def preprocess_dataset(ds, grid):
-    """Stack every sample's occupancy grid into (N, 1, H, W) plus labels."""
-    inputs = np.stack([grid_to_input(lidar_to_grid(s, grid)) for s in ds.samples])
+    """Every sample's occupancy grid, codes kept raw, as one (N, 1, H, W)
+    float32 array, plus the labels."""
+    inputs = np.empty((len(ds), 1) + grid.shape, dtype=np.float32)
+    for k, sample in enumerate(ds.samples):
+        inputs[k, 0] = lidar_to_grid(sample, grid)
     return inputs, ds.labels()
 
 
@@ -129,8 +132,6 @@ def local_round(client, global_theta, global_bn, spec, inputs, labels, cfg):
     """
     client.theta = global_theta.copy()
     client.bn_state = global_bn.copy()
-    if cfg.reset_schedule_each_round:
-        client.step_count = 0
     for _ in range(cfg.local_epochs):
         order = client.rng.permutation(len(client.indices))
         for batch_order in _epoch_batches(order, cfg.batch_size):
@@ -188,16 +189,15 @@ def run_federated(cfg, ds_train, ds_test, spec, grid):
     """
     from .dataset import partition_uniform  # local import to avoid a cycle
 
+    if len(ds_test) == 0:
+        raise ValueError("test dataset is empty")
     train_inputs, train_labels = preprocess_dataset(ds_train, grid)
     test_inputs, test_labels = preprocess_dataset(ds_test, grid)
     test_powers = ds_test.powers()
 
-    partition = partition_uniform(ds_train, cfg.vehicles, cfg.partition_seed)
+    parts = partition_uniform(ds_train, cfg.vehicles, cfg.partition_seed)
     rngs = client_rngs(cfg.shuffle_seed, cfg.vehicles)
-    clients = [
-        ClientState(vid=v, indices=partition.assignments[v], rng=rngs[v])
-        for v in range(cfg.vehicles)
-    ]
+    clients = [ClientState(vid=v, indices=parts[v], rng=rngs[v]) for v in range(cfg.vehicles)]
 
     theta, bn_state = nn.init_params(spec, cfg.init_seed)
     n_params = theta.shape[0]

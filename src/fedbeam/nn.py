@@ -275,7 +275,7 @@ class BatchNormState:
 
     @classmethod
     def average(cls, states):
-        """Unweighted mean across clients (equal-size local datasets)."""
+        """Unweighted mean across clients, whatever their local dataset sizes."""
         if not states:
             raise ValueError("need at least one state")
         first = states[0]

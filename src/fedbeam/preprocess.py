@@ -3,20 +3,22 @@
 The scene is quantized top-down into equal square cells. Cells holding at
 least one cloud point are 1, free cells 0; the base-station cell is then
 overwritten with -2 and the vehicle cell with -1 (vehicle wins every
-collision). Height information is dropped, so the network input stays a
-single fixed-size channel no matter how many points the scan returned.
+collision). Height information is dropped, so every scan becomes one
+fixed-size int8 code array no matter how many points it returned;
+fedavg.preprocess_dataset copies these arrays, codes kept raw, into the
+single-channel float32 network input.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GridConfig", "OccupancyGrid", "lidar_to_grid", "grid_to_input", "default_grid"]
+__all__ = ["GridConfig", "lidar_to_grid", "default_grid"]
 
 log = logging.getLogger(__name__)
 
-CODE_FREE = 0
 CODE_OCCUPIED = 1
 CODE_VEHICLE = -1
 CODE_BS = -2
@@ -75,27 +77,6 @@ def default_grid():
     return GridConfig(x_min=0.0, x_max=10.0, y_min=0.0, y_max=100.0, cells_x=20, cells_y=200)
 
 
-@dataclass(frozen=True)
-class OccupancyGrid:
-    """Quantized scene with codes {0, 1, -1, -2}; exactly one vehicle cell."""
-
-    cells: np.ndarray
-    config: GridConfig
-
-    def __post_init__(self):
-        if self.cells.shape != self.config.shape:
-            raise ValueError(
-                f"cell array shape {self.cells.shape} does not match config {self.config.shape}"
-            )
-        codes = np.unique(self.cells)
-        if not np.all(np.isin(codes, [CODE_BS, CODE_VEHICLE, CODE_FREE, CODE_OCCUPIED])):
-            raise ValueError(f"grid holds codes outside {{0, 1, -1, -2}}: {codes}")
-        if np.count_nonzero(self.cells == CODE_VEHICLE) != 1:
-            raise ValueError("grid must mark exactly one vehicle cell")
-        if np.count_nonzero(self.cells == CODE_BS) > 1:
-            raise ValueError("grid may mark at most one base-station cell")
-
-
 def _cell_index(coords, lo, hi, n_cells, delta):
     """Half-open binning with the upper box edge clamped into the last cell."""
     idx = np.floor((coords - lo) / delta).astype(np.int64)
@@ -104,11 +85,22 @@ def _cell_index(coords, lo, hi, n_cells, delta):
     return idx
 
 
+def _marker_cell(x, y, cfg):
+    """(ix, iy) of one in-box position, binned as _cell_index bins points."""
+    ix = cfg.cells_x - 1 if x == cfg.x_max else math.floor((x - cfg.x_min) / cfg.dx)
+    iy = cfg.cells_y - 1 if y == cfg.y_max else math.floor((y - cfg.y_min) / cfg.dy)
+    return ix, iy
+
+
 def lidar_to_grid(sample, cfg):
-    """Quantize one sample's cloud and positions into an OccupancyGrid.
+    """Quantize one sample's cloud and positions into a (cells_x, cells_y)
+    int8 code array.
 
     Points outside the box are discarded (count reported at debug level).
-    The vehicle must lie inside the box.
+    The vehicle must lie inside the box. Cells start free and are written
+    occupied, then base station, then vehicle, so the codes stay within
+    {0, 1, -1, -2} with exactly one vehicle cell and at most one
+    base-station cell.
     """
     vx, vy = float(sample.vehicle_pos[0]), float(sample.vehicle_pos[1])
     if not (cfg.x_min <= vx <= cfg.x_max):
@@ -130,17 +122,6 @@ def lidar_to_grid(sample, cfg):
 
     bx, by = float(sample.bs_pos[0]), float(sample.bs_pos[1])
     if cfg.x_min <= bx <= cfg.x_max and cfg.y_min <= by <= cfg.y_max:
-        bix = _cell_index(np.array([bx]), cfg.x_min, cfg.x_max, cfg.cells_x, cfg.dx)[0]
-        biy = _cell_index(np.array([by]), cfg.y_min, cfg.y_max, cfg.cells_y, cfg.dy)[0]
-        cells[bix, biy] = CODE_BS
-
-    vix = _cell_index(np.array([vx]), cfg.x_min, cfg.x_max, cfg.cells_x, cfg.dx)[0]
-    viy = _cell_index(np.array([vy]), cfg.y_min, cfg.y_max, cfg.cells_y, cfg.dy)[0]
-    cells[vix, viy] = CODE_VEHICLE
-
-    return OccupancyGrid(cells=cells, config=cfg)
-
-
-def grid_to_input(grid):
-    """Single-channel float tensor (1, cells_x, cells_y); codes kept raw."""
-    return grid.cells.astype(np.float32)[np.newaxis, :, :]
+        cells[_marker_cell(bx, by, cfg)] = CODE_BS
+    cells[_marker_cell(vx, vy, cfg)] = CODE_VEHICLE
+    return cells

@@ -149,7 +149,7 @@ class TestDegenerateEquivalence:
                         batch_size=16, partition_seed=31, init_seed=32,
                         shuffle_seed=33, accuracy_top_k=5)
         inputs, labels = preprocess_dataset(synthetic_train, grid)
-        indices = partition_uniform(synthetic_train, 1, cfg.partition_seed).assignments[0]
+        indices = partition_uniform(synthetic_train, 1, cfg.partition_seed)[0]
         theta0, bn0 = init_params(benchmark_spec, cfg.init_seed)
         theta0 = theta0.astype(np.float64)
 

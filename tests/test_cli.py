@@ -140,6 +140,29 @@ class TestTrain:
         assert "dataset.synthetic.n_train" in capsys.readouterr().err
         assert list(out.iterdir()) == []  # validated before writing anything
 
+    @pytest.mark.parametrize("path, value, field", [
+        ("dataset.synthetic.n_train", None, "dataset.synthetic.n_train"),
+        ("k_max", None, "k_max"),
+        ("federated", [1], "federated"),
+        ("dataset.synthetic.n_train", "abc", "dataset.synthetic.n_train"),
+        ("seed", "x", "seed"),
+        ("central", "x", "central"),
+        ("federated.reset_schedule_each_round", True, "federated"),  # removed option
+    ])
+    def test_mistyped_field_exit_2(self, tmp_path, capsys, path, value, field):
+        bad = micro_config()
+        *parents, key = path.split(".")
+        node = bad
+        for name in parents:
+            node = node[name]
+        node[key] = value
+        cfg_path = write_config(tmp_path, bad)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["synth", "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+        assert list(out.iterdir()) == []
+
     def test_architecture_grid_mismatch_exit_2(self, tmp_path, capsys):
         bad = micro_config()
         bad["architecture"]["input_shape"] = [10, 10]

@@ -185,21 +185,21 @@ class TestPartition:
         ds = Dataset(meta=small_meta(), samples=[])
         ds.samples = [None] * 11000  # partition only needs the length
         p = partition_uniform(ds, 5, seed=0)
-        assert [len(a) for a in p.assignments] == [2200] * 5
+        assert [len(a) for a in p] == [2200] * 5
 
     def test_single_vehicle_gets_permutation(self):
         ds = Dataset(meta=small_meta(), samples=[one_sample() for _ in range(10)])
         p = partition_uniform(ds, 1, seed=3)
-        assert sorted(p.assignments[0].tolist()) == list(range(10))
+        assert sorted(p[0].tolist()) == list(range(10))
 
     def test_remainder_sizes_and_reproducibility(self):
         ds = Dataset(meta=small_meta(), samples=[one_sample() for _ in range(10)])
         p1 = partition_uniform(ds, 3, seed=42)
         p2 = partition_uniform(ds, 3, seed=42)
-        assert [len(a) for a in p1.assignments] == [4, 3, 3]
-        for a, b in zip(p1.assignments, p2.assignments):
+        assert [len(a) for a in p1] == [4, 3, 3]
+        for a, b in zip(p1, p2):
             np.testing.assert_array_equal(a, b)
-        flat = np.concatenate(p1.assignments)
+        flat = np.concatenate(p1)
         assert sorted(flat.tolist()) == list(range(10))
 
     def test_too_many_vehicles_rejected(self):
@@ -214,10 +214,10 @@ class TestPartition:
         ds = Dataset(meta=small_meta(), samples=[])
         ds.samples = [None] * n
         p = partition_uniform(ds, v, seed)
-        flat = np.concatenate(p.assignments)
+        flat = np.concatenate(p)
         assert len(flat) == n
         assert len(set(flat.tolist())) == n
-        sizes = [len(a) for a in p.assignments]
+        sizes = [len(a) for a in p]
         assert max(sizes) - min(sizes) <= 1
 
 

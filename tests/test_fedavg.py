@@ -107,7 +107,7 @@ class TestDegenerateEquivalence:
         inputs, labels = preprocess_dataset(train, grid)
 
         # reference: one continuous SGD stream, reshuffled each epoch
-        indices = partition_uniform(train, 1, cfg.partition_seed).assignments[0]
+        indices = partition_uniform(train, 1, cfg.partition_seed)[0]
         rng = client_rngs(cfg.shuffle_seed, 1)[0]
         theta_ref, bn_ref = init_params(spec, cfg.init_seed)
         step = 0
@@ -166,6 +166,12 @@ class TestRunFederated:
             assert (a.round_index, a.top1_accuracy, a.topk_accuracy, a.throughput_ratio,
                     a.o_ul, a.o_dl) == (b.round_index, b.top1_accuracy, b.topk_accuracy,
                                         b.throughput_ratio, b.o_ul, b.o_dl)
+
+    def test_empty_test_set_rejected(self):
+        _, grid, spec, train, test = micro_world(n_train=30, n_test=8)
+        cfg = FedConfig(vehicles=3, max_rounds=1, batch_size=8, accuracy_top_k=2)
+        with pytest.raises(ValueError, match="test dataset is empty"):
+            run_federated(cfg, train, Dataset(meta=test.meta, samples=[]), spec, grid)
 
     def test_overhead_counters_exact(self):
         _, grid, spec, train, test = micro_world(n_train=40, n_test=8)
