@@ -13,7 +13,6 @@ from .channel import (
     dft_codebook,
     optimal_beam,
     throughput_ratio,
-    topk,
     topk_accuracy,
 )
 from .dataset import (

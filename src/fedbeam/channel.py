@@ -24,22 +24,12 @@ from .errors import MetricUnavailableError
 __all__ = [
     "BeamCodebook",
     "ChannelSet",
-    "REFERENCE_LINK",
     "dft_codebook",
     "beam_powers",
-    "beam_powers_naive",
     "optimal_beam",
-    "topk",
     "topk_accuracy",
     "throughput_ratio",
 ]
-
-# Full-size link dimensions assumed by the 256-pair reference design. The
-# desk-scale synthetic benchmark uses the smaller SynthConfig defaults
-# (16 x 4 pairs); both are plain configuration, nothing depends on these
-# numbers structurally.
-REFERENCE_LINK = {"c_t": 32, "c_r": 8, "n_t": 32, "n_r": 8, "n_c": 64}
-
 
 def dft_codebook(antennas, beams):
     """DFT beams for a uniform linear array.
@@ -108,36 +98,12 @@ def beam_powers(ch, cb):
     return np.sum(np.abs(gains) ** 2, axis=0).T
 
 
-def beam_powers_naive(ch, cb):
-    """Triple-loop reference for beam_powers; kept independent on purpose."""
-    n_c = ch.h.shape[0]
-    c_t, c_r = cb.tx.shape[0], cb.rx.shape[0]
-    y = np.zeros((c_t, c_r))
-    for i in range(c_t):
-        for j in range(c_r):
-            total = 0.0
-            for n in range(n_c):
-                g = np.vdot(cb.rx[j], ch.h[n] @ cb.tx[i])
-                total += abs(g) ** 2
-            y[i, j] = total
-    return y
-
-
 def optimal_beam(y):
     """Flat transmit-major label of the strongest pair; ties to lowest index."""
     y = np.asarray(y)
     if y.size == 0:
         raise ValueError("power matrix is empty")
     return int(np.argmax(y))
-
-
-def topk(scores, k):
-    """Indices of the K highest scores, descending, ties to lower index."""
-    scores = np.asarray(scores)
-    if not 1 <= k <= scores.shape[-1]:
-        raise ValueError(f"K must be in [1, {scores.shape[-1]}], got {k}")
-    order = np.argsort(-scores, kind="stable")
-    return order[:k]
 
 
 def _ranked(probs, rows, k_max, what):

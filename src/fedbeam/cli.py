@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,11 +80,19 @@ def _object(raw, key):
     return dict(value)
 
 
-def _build_synth(raw, path):
+def _path(value, path, test=os.path.exists, problem="path does not exist"):
+    _require(isinstance(value, str), path, f"must be a path string, got {value!r}")
+    _require(test(value), path, f"{problem}: {value}")
+
+
+def _build_synth(synth):
+    """SynthConfig from the dataset.synthetic object, lists as tuples."""
+    kwargs = {k: tuple(v) if isinstance(v, list) else v
+              for k, v in synth.items() if k not in ("n_train", "n_test")}
     try:
-        return SynthConfig(**raw)
+        return SynthConfig(**kwargs)
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"{path}: {e}") from e
+        raise ConfigError(f"dataset.synthetic: {e}") from e
 
 
 def load_experiment_config(path, seed_override=None):
@@ -112,24 +120,20 @@ def load_experiment_config(path, seed_override=None):
         _require("n_train" in synth, "dataset.synthetic.n_train", "required")
         _int(synth["n_train"], "dataset.synthetic.n_train", 0)
         _int(synth.get("n_test", 0), "dataset.synthetic.n_test", 0)
-        _build_synth({k: tuple(v) if isinstance(v, list) else v
-                      for k, v in synth.items() if k not in ("n_train", "n_test")},
-                     "dataset.synthetic")
+        _build_synth(synth)
     if "train_file" in ds:
         for key in ("train_file", "test_file"):
             _require(key in ds, f"dataset.{key}", "required with train_file source")
-            _require(os.path.exists(ds[key]), f"dataset.{key}", f"path does not exist: {ds[key]}")
+            _path(ds[key], f"dataset.{key}")
     if "train_ingest" in ds:
         for key in ("train_ingest", "test_ingest"):
             _require(key in ds, f"dataset.{key}", "required with train_ingest source")
             entry = ds[key]
             _require(isinstance(entry, dict) and "directory" in entry,
                      f"dataset.{key}", "must be an object with a 'directory'")
-            _require(os.path.isdir(entry["directory"]),
-                     f"dataset.{key}.directory", f"not a directory: {entry['directory']}")
+            _path(entry["directory"], f"dataset.{key}.directory", os.path.isdir, "not a directory")
             if "spec" in entry:
-                _require(os.path.exists(entry["spec"]),
-                         f"dataset.{key}.spec", f"path does not exist: {entry['spec']}")
+                _path(entry["spec"], f"dataset.{key}.spec")
 
     grid_raw = raw.get("grid", "default")
     if grid_raw == "default":
@@ -172,11 +176,14 @@ def load_experiment_config(path, seed_override=None):
     n_runs = _int(raw.get("n_runs", 1), "n_runs", 1)
     _require(not (n_runs > 1 and mode == "federated"),
              "n_runs", "multi-run confidence intervals are central-mode only")
+    output_dir = raw.get("output_dir")
+    _require(output_dir is None or isinstance(output_dir, str),
+             "output_dir", f"must be a path string, got {output_dir!r}")
 
     return ExperimentConfig(
         dataset=ds, grid=grid, architecture=arch, mode=mode, central=central,
         federated=federated, k_max=k_max, n_runs=n_runs, seed=seed,
-        output_dir=raw.get("output_dir"),
+        output_dir=output_dir,
     )
 
 
@@ -192,9 +199,7 @@ def _resolve_out(cfg_out, flag_out, needed=True):
 def _load_datasets(cfg):
     ds = cfg.dataset
     if "synthetic" in ds:
-        synth_raw = {k: tuple(v) if isinstance(v, list) else v
-                     for k, v in ds["synthetic"].items() if k not in ("n_train", "n_test")}
-        synth = _build_synth(synth_raw, "dataset.synthetic")
+        synth = _build_synth(ds["synthetic"])
         train = generate_synthetic(synth, int(ds["synthetic"]["n_train"]), seed=cfg.seed)
         test = generate_synthetic(synth, int(ds["synthetic"].get("n_test", 0)), seed=cfg.seed + 1)
         return train, test
@@ -269,12 +274,7 @@ def cmd_train(args):
             k = min(cfg.k_max, spec.n_classes)
 
             def one_run(seed):
-                run_cfg = CentralTrainConfig(
-                    epochs=cfg.central.epochs, batch_size=cfg.central.batch_size,
-                    lr=cfg.central.lr, lr_drop_factor=cfg.central.lr_drop_factor,
-                    lr_drop_epoch=cfg.central.lr_drop_epoch, seed=seed,
-                )
-                t, b = train_centralized(run_cfg, spec, train, cfg.grid)
+                t, b = train_centralized(replace(cfg.central, seed=seed), spec, train, cfg.grid)
                 rep = evaluate(t, b, spec, test, cfg.grid, cfg.k_max)
                 metrics = {f"top{k}_accuracy": rep.accuracy_at(k)}
                 if rep.throughput is not None:

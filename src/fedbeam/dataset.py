@@ -184,6 +184,9 @@ class Dataset:
 def save_dataset(ds, path):
     """Write the canonical little-endian layout; see load_dataset."""
     ds.validate()
+    top = max((s.label for s in ds.samples), default=0)
+    if top > 0xFFFF:
+        raise ValueError(f"label {top} exceeds the u16 label limit 65535 of the .fbds format")
     m = ds.meta
     with open(path, "wb") as f:
         f.write(_MAGIC)

@@ -10,10 +10,10 @@ reach 1.0 at K = C_t * C_r.
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from . import nn
 from .channel import throughput_ratio, topk_accuracy
@@ -182,6 +182,35 @@ def evaluate(theta, bn_state, spec, ds_test, grid, k_max=None):
     )
 
 
+def _t975(nu):
+    """Two-sided 95% Student-t quantile t_{0.975, nu} for integer nu >= 1.
+
+    Bisects theta = atan(t / sqrt(nu)) on (0, pi/2) until the midpoint stops
+    moving, against the closed-form A(t|nu) = P(|T| <= t) of Abramowitz &
+    Stegun 26.7.3 (odd nu) and 26.7.4 (even nu), a finite series in cos^2.
+    """
+    odd = nu % 2
+    j = np.arange(1, nu // 2)
+    ratios = (2 * j - 1 + odd) / (2 * j + odd)
+
+    def inside(theta):
+        c, s = math.cos(theta), math.sin(theta)
+        series = 1.0 + float(np.sum(np.cumprod(ratios * (c * c))))
+        if not odd:
+            return s * series
+        return 2.0 / math.pi * (theta + (s * c * series if nu > 1 else 0.0))
+
+    lo, hi = 0.0, math.pi / 2
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if inside(mid) < 0.95:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return math.sqrt(nu) * math.tan(mid)
+
+
 def monte_carlo(run, n_runs=10, base_seed=0):
     """Mean and 95% Student-t half-width per metric over independent runs.
 
@@ -196,6 +225,6 @@ def monte_carlo(run, n_runs=10, base_seed=0):
         values = np.array([r[key] for r in results], dtype=np.float64)
         mean = float(np.mean(values))
         sd = float(np.std(values, ddof=1))
-        half = float(scipy_stats.t.ppf(0.975, n_runs - 1) * sd / np.sqrt(n_runs))
+        half = float(_t975(n_runs - 1) * sd / np.sqrt(n_runs))
         metrics[key] = (mean, half)
     return metrics

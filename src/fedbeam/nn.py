@@ -186,9 +186,6 @@ class ParamLayout:
         offset, size, shape = self._index[name]
         return theta[offset : offset + size].reshape(shape)
 
-    def names(self):
-        return [n for n, _, _ in self.entries]
-
 
 @lru_cache(maxsize=128)
 def build_layout(spec):
@@ -309,10 +306,7 @@ def init_params(spec, seed):
     for name, width in shapes:
         if width is None:
             continue
-        try:
-            w = layout.view(theta, f"{name}.weight")
-        except KeyError:
-            continue
+        w = layout.view(theta, f"{name}.weight")
         fan_out, fan_in = w.shape
         a = np.sqrt(6.0 / (fan_in + fan_out))
         w[...] = rng.uniform(-a, a, size=w.shape)

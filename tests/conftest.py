@@ -11,6 +11,21 @@ TRAIN_SEED = 1001
 TEST_SEED = 2002
 
 
+def beam_powers_naive(ch, cb):
+    """Triple-loop oracle for channel.beam_powers; kept independent on purpose."""
+    n_c = ch.h.shape[0]
+    c_t, c_r = cb.tx.shape[0], cb.rx.shape[0]
+    y = np.zeros((c_t, c_r))
+    for i in range(c_t):
+        for j in range(c_r):
+            total = 0.0
+            for n in range(n_c):
+                g = np.vdot(cb.rx[j], ch.h[n] @ cb.tx[i])
+                total += abs(g) ** 2
+            y[i, j] = total
+    return y
+
+
 def micro_world(n_train=60, n_test=16, obstacles=2):
     """Small street, small grid, small model: fast end-to-end runs."""
     synth = SynthConfig(area=(0.0, 3.0, 0.0, 15.0), obstacles=obstacles,

@@ -11,9 +11,9 @@ import time
 
 import numpy as np
 import pytest
-from conftest import draw_gradient_check_case, micro_world
+from conftest import beam_powers_naive, draw_gradient_check_case, micro_world
 
-from fedbeam.channel import BeamCodebook, ChannelSet, beam_powers, beam_powers_naive
+from fedbeam.channel import BeamCodebook, ChannelSet, beam_powers
 from fedbeam.dataset import partition_uniform
 from fedbeam.evaluation import (
     REFERENCE_RESULTS,

@@ -3,16 +3,15 @@ import re
 
 import numpy as np
 import pytest
+from conftest import beam_powers_naive
 
 from fedbeam.channel import (
     BeamCodebook,
     ChannelSet,
     beam_powers,
-    beam_powers_naive,
     dft_codebook,
     optimal_beam,
     throughput_ratio,
-    topk,
     topk_accuracy,
 )
 from fedbeam.errors import MetricUnavailableError
@@ -116,28 +115,50 @@ class TestOptimalBeam:
             optimal_beam(np.zeros((0, 0)))
 
 
+def ranked_by_metrics(row, k_max):
+    """The k_max best classes of one score row, read back from the one-row
+    metric curves: a one-hot label, or a one-hot power row, on class c first
+    scores at K = rank of c, and both curves must agree."""
+    scores = np.asarray([row], dtype=np.float64)
+    n_classes = scores.shape[1]
+    rank = {}
+    for c in range(n_classes):
+        acc = topk_accuracy(scores, [c], k_max)
+        ratio = throughput_ratio(scores, np.eye(n_classes)[[c]], k_max)
+        np.testing.assert_array_equal(acc, ratio)
+        hits = np.flatnonzero(acc)
+        if hits.size:
+            assert np.all(acc[hits[0]:] == 1.0)
+            rank[c] = int(hits[0])
+    return sorted(rank, key=rank.get)
+
+
 class TestTopk:
     def test_basic(self):
-        np.testing.assert_array_equal(topk(np.array([0.1, 0.5, 0.4]), 2), [1, 2])
+        scores = [0.1, 0.5, 0.4]
+        assert ranked_by_metrics(scores, 2) == ranked_loop(scores, 2) == [1, 2]
 
     def test_full_set_sorts_descending(self):
-        scores = np.array([0.3, 0.9, 0.1, 0.5])
-        np.testing.assert_array_equal(topk(scores, 4), [1, 3, 0, 2])
+        scores = [0.3, 0.9, 0.1, 0.5]
+        assert ranked_by_metrics(scores, 4) == ranked_loop(scores, 4) == [1, 3, 0, 2]
 
     def test_tie_break_to_lower_index(self):
-        np.testing.assert_array_equal(topk(np.array([0.5, 0.5]), 1), [0])
+        assert ranked_by_metrics([0.5, 0.5], 1) == ranked_loop([0.5, 0.5], 1) == [0]
 
     def test_prefix_monotone(self):
         rng = np.random.default_rng(3)
-        scores = rng.choice([0.1, 0.2, 0.3], size=12)  # force ties
+        scores = rng.choice([0.1, 0.2, 0.3], size=12).tolist()  # force ties
         for k in range(1, 12):
-            np.testing.assert_array_equal(topk(scores, k), topk(scores, k + 1)[:k])
+            prefix = ranked_by_metrics(scores, k + 1)[:k]
+            assert ranked_by_metrics(scores, k) == ranked_loop(scores, k) == prefix
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            topk(np.array([1.0, 2.0]), 0)
-        with pytest.raises(ValueError):
-            topk(np.array([1.0, 2.0]), 3)
+        scores = np.array([[1.0, 2.0]])
+        for k_max in (0, 3):
+            with pytest.raises(ValueError, match="k_max"):
+                topk_accuracy(scores, [0], k_max)
+            with pytest.raises(ValueError, match="k_max"):
+                throughput_ratio(scores, np.ones((1, 2)), k_max)
 
 
 def ranked_loop(row, k):

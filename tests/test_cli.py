@@ -1,10 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from fedbeam.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from fedbeam.dataset import Dataset, Sample, load_dataset
-from fedbeam.nn import count_flops, count_params, default_architecture
+from fedbeam.evaluation import CentralTrainConfig, evaluate, train_centralized
+from fedbeam.nn import ArchitectureSpec, count_flops, count_params, default_architecture
+from fedbeam.preprocess import GridConfig
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+T975_2 = 4.302652729749462  # t_{0.975, 2} from SciPy 1.17.1
 
 
 def micro_config(mode="central", n_train=40, n_test=12, **extra):
@@ -120,6 +129,32 @@ class TestTrain:
         assert last[2] == f"{report['accuracy'][2]:.6f}"
         assert last[3] == f"{report['throughput_ratio'][2]:.6f}"
 
+    def test_central_n_runs_confidence_intervals(self, tmp_path):
+        cfg = micro_config(n_runs=3)
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["synth", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+        assert main(["train", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+        ci95 = json.loads((out / "report.json").read_text())["ci95"]
+        assert sorted(ci95) == ["top4_accuracy", "top4_throughput_ratio"]
+
+        # run i trains with seed base + i on the same files
+        spec = ArchitectureSpec.from_dict(cfg["architecture"])
+        grid = GridConfig.from_dict(cfg["grid"])
+        train, test = load_dataset(out / "train.fbds"), load_dataset(out / "test.fbds")
+        runs = []
+        for seed in range(cfg["seed"], cfg["seed"] + 3):
+            theta, bn = train_centralized(CentralTrainConfig(**cfg["central"], seed=seed),
+                                          spec, train, grid)
+            rep = evaluate(theta, bn, spec, test, grid, 4)
+            runs.append((rep.accuracy_at(4), rep.throughput_at(4)))
+        for name, values in zip(["top4_accuracy", "top4_throughput_ratio"], zip(*runs)):
+            sd = np.std(values, ddof=1)
+            assert sd > 0
+            assert ci95[name]["mean"] == pytest.approx(np.mean(values), rel=1e-12)
+            assert ci95[name]["half_width"] == pytest.approx(T975_2 * sd / np.sqrt(3), rel=1e-12)
+
     def test_identical_runs_identical_reports(self, tmp_path):
         cfg_path = write_config(tmp_path, micro_config())
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -148,6 +183,13 @@ class TestTrain:
         ("seed", "x", "seed"),
         ("central", "x", "central"),
         ("federated.reset_schedule_each_round", True, "federated"),  # removed option
+        ("dataset", {"train_file": None, "test_file": None}, "dataset.train_file"),
+        ("dataset", {"train_file": 0, "test_file": 0}, "dataset.train_file"),  # not stdin
+        ("dataset", {"train_ingest": {"directory": None}, "test_ingest": {"directory": None}},
+         "dataset.train_ingest.directory"),
+        ("dataset", {"train_ingest": {"directory": ".", "spec": None},
+                     "test_ingest": {"directory": "."}}, "dataset.train_ingest.spec"),
+        ("output_dir", [1], "output_dir"),
     ])
     def test_mistyped_field_exit_2(self, tmp_path, capsys, path, value, field):
         bad = micro_config()
@@ -252,6 +294,17 @@ class TestEval:
         bad.write_bytes(b"FBDSgarbage")
         assert main(["eval", "--checkpoint", str(out / "model.fbnn"),
                      "--dataset", str(bad), "--out", str(out)]) == EXIT_DATA
+
+
+class TestNumpyOnly:
+    def test_cli_runs_without_scipy(self):
+        code = ("import sys; sys.modules['scipy'] = None; import fedbeam, fedbeam.cli; "
+                "sys.exit(fedbeam.cli.main(['flops']))")
+        env = dict(os.environ, PYTHONPATH=SRC)
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert "parameters:" in result.stdout
 
 
 class TestFlops:

@@ -118,6 +118,16 @@ class TestRoundTrip:
         with pytest.raises(IntegrityError, match="sample 3"):
             load_dataset(trunc)
 
+    def test_label_above_u16_rejected_before_writing(self, tmp_path):
+        # 300 x 300 beam pairs is a legal meta, but the label field is u16
+        s = Sample(cloud=np.zeros((0, 3)), vehicle_pos=np.zeros(3), bs_pos=np.zeros(3),
+                   label=70000)
+        ds = Dataset(meta=small_meta(c_t=300, c_r=300), samples=[s])
+        path = tmp_path / "wide.fbds"
+        with pytest.raises(ValueError, match="label 70000 exceeds the u16 label limit 65535"):
+            save_dataset(ds, path)
+        assert not path.exists()
+
     def test_bad_magic_is_format_error(self, tmp_path):
         path = tmp_path / "bad.fbds"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
