@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import nn
+from . import fedavg, nn
 from .dataset import (
     SynthConfig,
     generate_synthetic,
@@ -265,17 +265,19 @@ def cmd_train(args):
         raise ConfigError("dataset: test set is empty (needed for evaluation)")
     spec = _resolve_spec(cfg, train.meta.n_pairs)
     report_path, sweep_path, ckpt_path, rounds_path = _report_paths(out)
+    # the test set is rasterized once, for every eval of this command
+    test_tensors = fedavg.preprocess_dataset(test, cfg.grid)
 
     if cfg.mode == "central":
         theta, bn_state = train_centralized(cfg.central, spec, train, cfg.grid)
-        report = evaluate(theta, bn_state, spec, test, cfg.grid, cfg.k_max)
+        report = evaluate(theta, bn_state, spec, test, cfg.grid, cfg.k_max, test_tensors)
         report.seeds = {"base": cfg.seed, "central": cfg.central.seed}
         if cfg.n_runs > 1:
             k = min(cfg.k_max, spec.n_classes)
 
             def one_run(seed):
                 t, b = train_centralized(replace(cfg.central, seed=seed), spec, train, cfg.grid)
-                rep = evaluate(t, b, spec, test, cfg.grid, cfg.k_max)
+                rep = evaluate(t, b, spec, test, cfg.grid, cfg.k_max, test_tensors)
                 metrics = {f"top{k}_accuracy": rep.accuracy_at(k)}
                 if rep.throughput is not None:
                     metrics[f"top{k}_throughput_ratio"] = rep.throughput_at(k)
@@ -288,9 +290,9 @@ def cmd_train(args):
                 ).items()
             }
     else:
-        theta, bn_state, logs = run_federated(cfg.federated, train, test, spec, cfg.grid)
+        theta, bn_state, logs = run_federated(cfg.federated, train, test, spec, cfg.grid, test_tensors)
         write_round_csv(logs, rounds_path)
-        report = evaluate(theta, bn_state, spec, test, cfg.grid, cfg.k_max)
+        report = evaluate(theta, bn_state, spec, test, cfg.grid, cfg.k_max, test_tensors)
         report.seeds = {
             "base": cfg.seed,
             "partition": cfg.federated.partition_seed,

@@ -9,15 +9,20 @@ The synthetic generator stands in for ray-traced scene data: axis-aligned
 obstacle boxes on a street, 2-D ray-cast visibility for the point cloud, and
 a geometric multipath channel (line of sight plus one specular reflection
 per obstacle face) evaluated against DFT codebooks to label each scene.
+Each scene's geometry is one array pass: all 4n faces, perimeter points and
+reflection hits at once, then a single Liang-Barsky clip of every segment
+(vehicle to point, BS to vehicle, BS to hit, hit to vehicle) against every
+box, taken in row blocks of _CLIP_PAIRS segment-box pairs to bound memory.
 """
 
 import glob
 import json
 import logging
 import math
+import numbers
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -297,6 +302,10 @@ def partition_uniform(ds, v, seed):
 # Synthetic scenes
 
 
+def _finite_number(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Knobs for the geometric scene/channel generator.
@@ -326,14 +335,27 @@ class SynthConfig:
     max_retries: int = 100
 
     def __post_init__(self):
+        for name in ("obstacles", "n_t", "n_r", "n_c", "c_t", "c_r", "max_retries"):
+            v, least = getattr(self, name), int(name != "obstacles")
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+        ranges = ("obstacle_size_x", "obstacle_size_y", "obstacle_height")
+        for name, count in (("area", 4), ("bs_pos", 3), *((r, 2) for r in ranges)):
+            v = getattr(self, name)
+            if not (isinstance(v, (tuple, list, np.ndarray)) and len(v) == count
+                    and all(map(_finite_number, v))):
+                raise ValueError(f"{name} must hold {count} finite numbers, got {v!r}")
+        for name in ("vehicle_height", "point_spacing", "subcarrier_spacing_hz",
+                     "los_gain", "reflection_gain", "reflection_falloff_m"):
+            if not _finite_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         x0, x1, y0, y1 = self.area
         if x1 <= x0 or y1 <= y0:
             raise ValueError("area box is degenerate")
-        if self.obstacles < 0:
-            raise ValueError("obstacle count must be >= 0")
-        for name in ("n_t", "n_r", "n_c", "c_t", "c_r"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for name in ranges:
+            lo, hi = getattr(self, name)
+            if not 0 < lo <= hi:
+                raise ValueError(f"{name} must satisfy 0 < low <= high, got ({lo}, {hi})")
         if self.point_spacing <= 0:
             raise ValueError("point_spacing must be positive")
 
@@ -347,98 +369,88 @@ class SynthConfig:
         return BeamCodebook.dft(self.n_t, self.n_r, self.c_t, self.c_r)
 
 
-@dataclass(frozen=True)
-class Obstacle:
-    """Axis-aligned box footprint [x0, x1] x [y0, y1] with a height."""
-
-    x0: float
-    x1: float
-    y0: float
-    y1: float
-    height: float
-
-    def contains(self, x, y):
-        return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
+# Segment-box pairs clipped per block in _blocked: bounds its temporaries
+# (a few MiB) however many boxes and perimeter points a scene has.
+_CLIP_PAIRS = 2**16
 
 
-def _crosses_interior(origin, targets, box, shrink=1e-9):
-    """For segments origin -> targets[k]: does any cross the open box interior?
+def _blocked(origins, targets, boxes, shrink=1e-9):
+    """For segments origins[k] -> targets[k]: does any cross the open interior
+    of any of the (n, 4) boxes (rows x0, x1, y0, y1)?
 
-    Liang-Barsky clipping against the box shrunk by `shrink`, so segments
-    that merely touch a face (e.g. end on it) do not count as blocked.
+    Liang-Barsky clipping against each box shrunk by `shrink`, so segments
+    that merely touch a face (e.g. end on it) do not count as blocked. Every
+    segment meets every box in one broadcast, taken in row blocks of about
+    _CLIP_PAIRS segment-box pairs.
     """
-    targets = np.atleast_2d(targets)
-    d = targets - origin
-    t0 = np.zeros(len(targets))
-    t1 = np.ones(len(targets))
-    alive = np.ones(len(targets), dtype=bool)
-    bounds = ((box.x0 + shrink, box.x1 - shrink), (box.y0 + shrink, box.y1 - shrink))
-    for axis, (lo, hi) in enumerate(bounds):
-        p = origin[axis]
-        dd = d[:, axis]
-        parallel = np.abs(dd) < 1e-15
-        alive &= ~(parallel & ((p < lo) | (p > hi)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ta = (lo - p) / dd
-            tb = (hi - p) / dd
-        tlo = np.where(parallel, 0.0, np.minimum(ta, tb))
-        thi = np.where(parallel, 1.0, np.maximum(ta, tb))
-        t0 = np.maximum(t0, tlo)
-        t1 = np.minimum(t1, thi)
-    return alive & (t1 - t0 > 1e-12)
-
-
-def _blocked(origin, targets, obstacles, shrink=1e-9):
-    targets = np.atleast_2d(targets)
-    mask = np.zeros(len(targets), dtype=bool)
-    for box in obstacles:
-        mask |= _crosses_interior(origin, targets, box, shrink)
+    mask = np.zeros(len(origins), dtype=bool)
+    if len(boxes) == 0:
+        return mask
+    d = targets - origins
+    bounds = ((boxes[:, 0] + shrink, boxes[:, 1] - shrink), (boxes[:, 2] + shrink, boxes[:, 3] - shrink))
+    rows = max(1, _CLIP_PAIRS // len(boxes))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s in range(0, len(origins), rows):
+            t0, t1, alive = 0.0, 1.0, True
+            for axis, (lo, hi) in enumerate(bounds):
+                p = origins[s : s + rows, axis, None]
+                dd = d[s : s + rows, axis, None]
+                parallel = np.abs(dd) < 1e-15
+                alive = alive & ~(parallel & ((p < lo) | (p > hi)))
+                ta = (lo - p) / dd
+                tb = (hi - p) / dd
+                t0 = np.maximum(t0, np.where(parallel, 0.0, np.minimum(ta, tb)))
+                t1 = np.minimum(t1, np.where(parallel, 1.0, np.maximum(ta, tb)))
+            mask[s : s + rows] = (alive & (t1 - t0 > 1e-12)).any(axis=1)
     return mask
 
 
-def _face_points(box, spacing):
-    """Perimeter sample points (n, 2) at roughly `spacing` along each face."""
-    pts = []
-    for x, ylo, yhi in ((box.x0, box.y0, box.y1), (box.x1, box.y0, box.y1)):
-        ys = ylo + spacing * np.arange(int(math.floor((yhi - ylo) / spacing)) + 1)
-        pts.append(np.column_stack([np.full_like(ys, x), ys]))
-    for y, xlo, xhi in ((box.y0, box.x0, box.x1), (box.y1, box.x0, box.x1)):
-        xs = xlo + spacing * np.arange(int(math.floor((xhi - xlo) / spacing)) + 1)
-        pts.append(np.column_stack([xs, np.full_like(xs, y)]))
-    return np.concatenate(pts, axis=0)
+def _faces(boxes):
+    """The 4n box faces as arrays (axis, coord, lo, hi), box by box in the
+    order x0, x1, y0, y1. Axis 0 means a face of constant x; lo..hi is its
+    extent along the other axis."""
+    return (np.tile([0, 0, 1, 1], len(boxes)), boxes.reshape(-1),
+            boxes[:, [2, 2, 0, 0]].reshape(-1), boxes[:, [3, 3, 1, 1]].reshape(-1))
 
 
-def _reflection_point(face_axis, face_coord, lo, hi, src, dst):
-    """Specular image-method bounce point on one obstacle face, or None.
+def _perimeter_points(faces, spacing):
+    """Sample points (P, 2) at lo + spacing * k, k = 0..floor((hi - lo) / spacing),
+    along every face in turn."""
+    axis, coord, lo, hi = faces
+    counts = np.floor((hi - lo) / spacing).astype(np.int64) + 1
+    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    along = np.repeat(lo, counts) + spacing * k
+    fixed = np.repeat(coord, counts)
+    x_face = np.repeat(axis == 0, counts)
+    return np.column_stack([np.where(x_face, fixed, along), np.where(x_face, along, fixed)])
 
-    face_axis 0 means a face of constant x; lo..hi is the face extent along
-    the other axis. Both endpoints must sit on the open outer side.
+
+def _reflection_hits(faces, src, dst):
+    """Specular image-method bounce points (H, 2) from src to dst, in face order.
+
+    A face reflects when both endpoints sit strictly on the same side of its
+    line and the bounce point, where the mirror image of src sees dst, lies
+    within the face's extent.
     """
-    a = face_axis
-    b = 1 - a
-    side_src = src[a] - face_coord
-    side_dst = dst[a] - face_coord
-    if side_src == 0.0 or side_dst == 0.0 or (side_src > 0) != (side_dst > 0):
-        return None
-    mirror = src.copy()
-    mirror[a] = 2.0 * face_coord - src[a]
-    denom = dst[a] - mirror[a]
-    if abs(denom) < 1e-15:
-        return None
-    t = (face_coord - mirror[a]) / denom
-    if not 0.0 < t < 1.0:
-        return None
-    hit_b = mirror[b] + t * (dst[b] - mirror[b])
-    if not lo <= hit_b <= hi:
-        return None
-    point = np.empty(2)
-    point[a] = face_coord
-    point[b] = hit_b
-    return point
+    axis, coord, lo, hi = faces
+    src_a, src_b, dst_a, dst_b = src[axis], src[1 - axis], dst[axis], dst[1 - axis]
+    side_src = src_a - coord
+    side_dst = dst_a - coord
+    mirror_a = 2.0 * coord - src_a
+    denom = dst_a - mirror_a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (coord - mirror_a) / denom
+        hit_b = src_b + t * (dst_b - src_b)
+    ok = ((side_src != 0.0) & (side_dst != 0.0) & ((side_src > 0) == (side_dst > 0))
+          & ~(np.abs(denom) < 1e-15) & (0.0 < t) & (t < 1.0) & (lo <= hit_b) & (hit_b <= hi))
+    x_face = axis[ok] == 0
+    return np.column_stack([np.where(x_face, coord[ok], hit_b[ok]), np.where(x_face, hit_b[ok], coord[ok])])
 
 
-def _scene_paths(cfg, vehicle_xy, obstacles):
-    """Propagation paths as (gain, length_3d, s_tx, s_rx) tuples.
+def _scene_geometry(cfg, vehicle_xy, boxes):
+    """Visible point cloud (P, 3) float32 and propagation paths as
+    (gain, length_3d, s_tx, s_rx) tuples: line of sight, then one bounce per
+    unblocked reflecting face.
 
     s_* is the y-component of the 3-D unit direction (departure at the BS,
     arrival at the vehicle), i.e. the spatial frequency seen by a ULA laid
@@ -446,42 +458,45 @@ def _scene_paths(cfg, vehicle_xy, obstacles):
     """
     bs = np.asarray(cfg.bs_pos, dtype=np.float64)
     veh = np.array([vehicle_xy[0], vehicle_xy[1], cfg.vehicle_height])
+    faces = _faces(boxes)
+    points = _perimeter_points(faces, cfg.point_spacing)
+    hits = _reflection_hits(faces, bs[:2], veh[:2])
+    n_p, n_h = len(points), len(hits)
+    # one clip: vehicle -> each point, BS -> vehicle, BS -> each hit, each hit -> vehicle
+    origins = np.empty((n_p + 1 + 2 * n_h, 2))
+    targets = np.empty_like(origins)
+    origins[:n_p] = veh[:2]
+    origins[n_p : n_p + 1 + n_h] = bs[:2]
+    origins[n_p + 1 + n_h :] = hits
+    targets[:n_p] = points
+    targets[n_p] = veh[:2]
+    targets[n_p + 1 : n_p + 1 + n_h] = hits
+    targets[n_p + 1 + n_h :] = veh[:2]
+    blocked = _blocked(origins, targets, boxes)
+    kept = points[~blocked[:n_p]]
+    cloud = np.column_stack([kept, np.full(len(kept), cfg.vehicle_height)]).astype(np.float32)
+
     dz = veh[2] - bs[2]
     paths = []
-
-    if not _blocked(bs[:2], veh[None, :2], obstacles)[0]:
+    if not blocked[n_p]:
         d = veh - bs
         length = float(np.linalg.norm(d))
         s = d[1] / length
         paths.append((cfg.los_gain, length, s, s))
-
-    for box in obstacles:
-        faces = (
-            (0, box.x0, box.y0, box.y1),
-            (0, box.x1, box.y0, box.y1),
-            (1, box.y0, box.x0, box.x1),
-            (1, box.y1, box.x0, box.x1),
-        )
-        for axis, coord, lo, hi in faces:
-            hit = _reflection_point(axis, coord, lo, hi, bs[:2], veh[:2])
-            if hit is None:
-                continue
-            if _blocked(bs[:2], hit[None, :], obstacles)[0]:
-                continue
-            if _blocked(hit, veh[None, :2], obstacles)[0]:
-                continue
-            leg1 = float(np.linalg.norm(hit - bs[:2]))
-            leg2 = float(np.linalg.norm(veh[:2] - hit))
-            if leg1 < 1e-9 or leg2 < 1e-9:
-                continue
-            flat_len = leg1 + leg2
-            length = math.hypot(flat_len, dz)
-            # unfolded path: horizontal speed is flat_len/length of the 3-D rate
-            s_t = (hit[1] - bs[1]) / leg1 * (flat_len / length)
-            s_r = (veh[1] - hit[1]) / leg2 * (flat_len / length)
-            gain = cfg.reflection_gain / (1.0 + length / cfg.reflection_falloff_m)
-            paths.append((gain, length, s_t, s_r))
-    return paths
+    clear = ~(blocked[n_p + 1 : n_p + 1 + n_h] | blocked[n_p + 1 + n_h :])
+    for hit in hits[clear]:
+        leg1 = float(np.linalg.norm(hit - bs[:2]))
+        leg2 = float(np.linalg.norm(veh[:2] - hit))
+        if leg1 < 1e-9 or leg2 < 1e-9:
+            continue
+        flat_len = leg1 + leg2
+        length = math.hypot(flat_len, dz)
+        # unfolded path: horizontal speed is flat_len/length of the 3-D rate
+        s_t = (hit[1] - bs[1]) / leg1 * (flat_len / length)
+        s_r = (veh[1] - hit[1]) / leg2 * (flat_len / length)
+        gain = cfg.reflection_gain / (1.0 + length / cfg.reflection_falloff_m)
+        paths.append((gain, length, s_t, s_r))
+    return cloud, paths
 
 
 def _paths_to_channel(cfg, paths):
@@ -498,22 +513,13 @@ def _paths_to_channel(cfg, paths):
     return ChannelSet(h=h)
 
 
-def _visible_cloud(cfg, vehicle_xy, obstacles):
-    if not obstacles:
-        return np.zeros((0, 3), dtype=np.float32)
-    candidates = np.concatenate([_face_points(b, cfg.point_spacing) for b in obstacles], axis=0)
-    visible = ~_blocked(np.asarray(vehicle_xy, dtype=np.float64), candidates, obstacles)
-    kept = candidates[visible]
-    z = np.full((len(kept), 1), cfg.vehicle_height)
-    return np.hstack([kept, z]).astype(np.float32)
-
-
-def synthesize_scene(cfg, vehicle_xy, obstacles, codebook=None):
-    """Build one Sample from a fixed vehicle position and obstacle layout."""
+def synthesize_scene(cfg, vehicle_xy, boxes, codebook=None):
+    """Build one Sample from a fixed vehicle position and obstacle footprints,
+    an (n, 4) array of rows x0, x1, y0, y1 (or [] for none)."""
     if codebook is None:
         codebook = cfg.codebook()
-    cloud = _visible_cloud(cfg, vehicle_xy, obstacles)
-    ch = _paths_to_channel(cfg, _scene_paths(cfg, vehicle_xy, obstacles))
+    cloud, paths = _scene_geometry(cfg, vehicle_xy, np.asarray(boxes, dtype=np.float64).reshape(-1, 4))
+    ch = _paths_to_channel(cfg, paths)
     y = beam_powers(ch, codebook).astype(np.float32)
     label = optimal_beam(y)
     vehicle = np.array([vehicle_xy[0], vehicle_xy[1], cfg.vehicle_height], dtype=np.float32)
@@ -527,6 +533,7 @@ def synthesize_scene(cfg, vehicle_xy, obstacles, codebook=None):
 
 
 def _draw_obstacles(cfg, rng):
+    """(n, 4) obstacle footprints, rows x0, x1, y0, y1."""
     x0_area, x1_area, y0_area, y1_area = cfg.area
     boxes = []
     for _ in range(cfg.obstacles):
@@ -536,9 +543,14 @@ def _draw_obstacles(cfg, rng):
         sy = min(sy, y1_area - y0_area)
         x0 = rng.uniform(x0_area, x1_area - sx)
         y0 = rng.uniform(y0_area, y1_area - sy)
-        h = rng.uniform(*cfg.obstacle_height)
-        boxes.append(Obstacle(x0=x0, x1=x0 + sx, y0=y0, y1=y0 + sy, height=h))
-    return boxes
+        rng.uniform(*cfg.obstacle_height)  # box height: never read, drawn so seeds keep their scenes
+        boxes.append((x0, x0 + sx, y0, y0 + sy))
+    return np.array(boxes, dtype=np.float64).reshape(-1, 4)
+
+
+def _inside(boxes, x, y):
+    """Does any box footprint contain (x, y), faces included?"""
+    return bool(np.any((boxes[:, 0] <= x) & (x <= boxes[:, 1]) & (boxes[:, 2] <= y) & (y <= boxes[:, 3])))
 
 
 def generate_synthetic(cfg, n, seed):
@@ -550,17 +562,15 @@ def generate_synthetic(cfg, n, seed):
     for k in range(n):
         for _ in range(cfg.max_retries):
             vehicle_xy = (rng.uniform(x0, x1), rng.uniform(y0, y1))
-            obstacles = _draw_obstacles(cfg, rng)
-            bs_clear = not any(b.contains(cfg.bs_pos[0], cfg.bs_pos[1]) for b in obstacles)
-            veh_clear = not any(b.contains(*vehicle_xy) for b in obstacles)
-            if bs_clear and veh_clear:
+            boxes = _draw_obstacles(cfg, rng)
+            if not (_inside(boxes, cfg.bs_pos[0], cfg.bs_pos[1]) or _inside(boxes, *vehicle_xy)):
                 break
         else:
             raise RuntimeError(
                 f"scene {k}: no valid geometry after {cfg.max_retries} retries "
                 "(BS or vehicle keeps landing inside an obstacle)"
             )
-        samples.append(synthesize_scene(cfg, vehicle_xy, obstacles, codebook))
+        samples.append(synthesize_scene(cfg, vehicle_xy, boxes, codebook))
     return Dataset(meta=cfg.meta(seed), samples=samples)
 
 
@@ -593,18 +603,7 @@ class IngestSpec:
 
     def to_json(self, path):
         with open(path, "w") as f:
-            json.dump(
-                {
-                    "meta": self.meta,
-                    "cloud": self.cloud,
-                    "vehicle_pos": self.vehicle_pos,
-                    "bs_pos": self.bs_pos,
-                    "powers": self.powers,
-                    "labels": self.labels,
-                },
-                f,
-                indent=2,
-            )
+            json.dump(asdict(self), f, indent=2)
 
 
 def _load_meta_json(path):
@@ -706,12 +705,7 @@ def export_exchange(ds, directory):
     os.makedirs(directory, exist_ok=True)
     m = ds.meta
     with open(os.path.join(directory, "meta.json"), "w") as f:
-        json.dump(
-            {"c_t": m.c_t, "c_r": m.c_r, "n_t": m.n_t, "n_r": m.n_r, "n_c": m.n_c,
-             "area": list(m.area), "seed": m.seed},
-            f,
-            indent=2,
-        )
+        json.dump(asdict(m), f, indent=2)
     width = max(6, len(str(max(len(ds) - 1, 0))))
     for k, s in enumerate(ds.samples):
         np.save(os.path.join(directory, f"cloud_{k:0{width}d}.npy"), s.cloud)

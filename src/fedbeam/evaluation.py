@@ -158,16 +158,18 @@ class EvalReport:
                 w.writerow([int(k), f"{self.accuracy[i]:.6f}", ratio])
 
 
-def evaluate(theta, bn_state, spec, ds_test, grid, k_max=None):
+def evaluate(theta, bn_state, spec, ds_test, grid, k_max=None, test_tensors=None):
     """Accuracy and throughput-ratio curves for K = 1..k_max.
 
     The throughput curve is None when any test sample lacks beam powers.
+    test_tensors, when given, is preprocess_dataset(ds_test, grid) made by
+    the caller, and saves rasterizing the test set again.
     """
     if len(ds_test) == 0:
         raise ValueError("test dataset is empty")
     n_classes = spec.n_classes
     k_max = n_classes if k_max is None else min(k_max, n_classes)
-    inputs, labels = preprocess_dataset(ds_test, grid)
+    inputs, labels = preprocess_dataset(ds_test, grid) if test_tensors is None else test_tensors
     probs = predict_proba(spec, theta, bn_state, inputs)
     if probs.shape[1] != n_classes:
         raise ValueError(f"model emits {probs.shape[1]} classes, dataset has {n_classes}")

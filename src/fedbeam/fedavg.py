@@ -178,11 +178,13 @@ def predict_proba(spec, theta, bn_state, inputs):
     return np.concatenate(chunks, axis=0)
 
 
-def run_federated(cfg, ds_train, ds_test, spec, grid):
+def run_federated(cfg, ds_train, ds_test, spec, grid, test_tensors=None):
     """Algorithm loop: local epochs, delta upload, aggregate, broadcast, eval.
 
     Stops after cfg.max_rounds or once post-aggregation top-K test accuracy
     reaches cfg.target_accuracy. Returns (theta, bn_state, [RoundLog]).
+    test_tensors, when given, is preprocess_dataset(ds_test, grid) made by
+    the caller, so a test set rasterized once can serve later evals too.
     Deterministic for fixed config and seeds; clients own disjoint RNG
     streams, so any scheduling/parallelization of the local rounds would
     produce the same deltas.
@@ -192,7 +194,7 @@ def run_federated(cfg, ds_train, ds_test, spec, grid):
     if len(ds_test) == 0:
         raise ValueError("test dataset is empty")
     train_inputs, train_labels = preprocess_dataset(ds_train, grid)
-    test_inputs, test_labels = preprocess_dataset(ds_test, grid)
+    test_inputs, test_labels = preprocess_dataset(ds_test, grid) if test_tensors is None else test_tensors
     test_powers = ds_test.powers()
 
     parts = partition_uniform(ds_train, cfg.vehicles, cfg.partition_seed)

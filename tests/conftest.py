@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,92 @@ def beam_powers_naive(ch, cb):
                 total += abs(g) ** 2
             y[i, j] = total
     return y
+
+
+# Per-box scene-geometry loops: oracles for the one-pass versions in
+# fedbeam.dataset, with the same float operations. A box is a row
+# (x0, x1, y0, y1).
+
+
+def crosses_interior_naive(origin, targets, box, shrink=1e-9):
+    """For segments origin -> targets[k]: does any cross the open box interior?"""
+    x0, x1, y0, y1 = box
+    targets = np.atleast_2d(targets)
+    d = targets - origin
+    t0 = np.zeros(len(targets))
+    t1 = np.ones(len(targets))
+    alive = np.ones(len(targets), dtype=bool)
+    bounds = ((x0 + shrink, x1 - shrink), (y0 + shrink, y1 - shrink))
+    for axis, (lo, hi) in enumerate(bounds):
+        p = origin[axis]
+        dd = d[:, axis]
+        parallel = np.abs(dd) < 1e-15
+        alive &= ~(parallel & ((p < lo) | (p > hi)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ta = (lo - p) / dd
+            tb = (hi - p) / dd
+        tlo = np.where(parallel, 0.0, np.minimum(ta, tb))
+        thi = np.where(parallel, 1.0, np.maximum(ta, tb))
+        t0 = np.maximum(t0, tlo)
+        t1 = np.minimum(t1, thi)
+    return alive & (t1 - t0 > 1e-12)
+
+
+def blocked_naive(origin, targets, boxes, shrink=1e-9):
+    targets = np.atleast_2d(targets)
+    mask = np.zeros(len(targets), dtype=bool)
+    for box in boxes:
+        mask |= crosses_interior_naive(origin, targets, box, shrink)
+    return mask
+
+
+def face_points_naive(box, spacing):
+    """Perimeter sample points (n, 2) of one box, faces x0, x1, y0, y1."""
+    bx0, bx1, by0, by1 = box
+    pts = []
+    for x, ylo, yhi in ((bx0, by0, by1), (bx1, by0, by1)):
+        ys = ylo + spacing * np.arange(int(math.floor((yhi - ylo) / spacing)) + 1)
+        pts.append(np.column_stack([np.full_like(ys, x), ys]))
+    for y, xlo, xhi in ((by0, bx0, bx1), (by1, bx0, bx1)):
+        xs = xlo + spacing * np.arange(int(math.floor((xhi - xlo) / spacing)) + 1)
+        pts.append(np.column_stack([xs, np.full_like(xs, y)]))
+    return np.concatenate(pts, axis=0)
+
+
+def reflection_point_naive(face_axis, face_coord, lo, hi, src, dst):
+    """Specular image-method bounce point on one face, or None."""
+    a = face_axis
+    b = 1 - a
+    side_src = src[a] - face_coord
+    side_dst = dst[a] - face_coord
+    if side_src == 0.0 or side_dst == 0.0 or (side_src > 0) != (side_dst > 0):
+        return None
+    mirror = src.copy()
+    mirror[a] = 2.0 * face_coord - src[a]
+    denom = dst[a] - mirror[a]
+    if abs(denom) < 1e-15:
+        return None
+    t = (face_coord - mirror[a]) / denom
+    if not 0.0 < t < 1.0:
+        return None
+    hit_b = mirror[b] + t * (dst[b] - mirror[b])
+    if not lo <= hit_b <= hi:
+        return None
+    point = np.empty(2)
+    point[a] = face_coord
+    point[b] = hit_b
+    return point
+
+
+def reflection_hits_naive(boxes, src, dst):
+    """Bounce points (H, 2) over all faces, box by box, faces x0, x1, y0, y1."""
+    hits = []
+    for x0, x1, y0, y1 in boxes:
+        for axis, coord, lo, hi in ((0, x0, y0, y1), (0, x1, y0, y1), (1, y0, x0, x1), (1, y1, x0, x1)):
+            hit = reflection_point_naive(axis, coord, lo, hi, src, dst)
+            if hit is not None:
+                hits.append(hit)
+    return np.array(hits, dtype=np.float64).reshape(-1, 2)
 
 
 def micro_world(n_train=60, n_test=16, obstacles=2):

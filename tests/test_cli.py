@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from fedbeam import fedavg
 from fedbeam.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from fedbeam.dataset import Dataset, Sample, load_dataset
 from fedbeam.evaluation import CentralTrainConfig, evaluate, train_centralized
@@ -129,6 +130,22 @@ class TestTrain:
         assert last[2] == f"{report['accuracy'][2]:.6f}"
         assert last[3] == f"{report['throughput_ratio'][2]:.6f}"
 
+    @pytest.mark.parametrize("mode, extra, train_passes", [
+        ("federated", {}, 1),
+        ("central", {"n_runs": 2}, 3),  # the reported run plus two confidence runs
+    ])
+    def test_test_set_rasterized_once(self, tmp_path, monkeypatch, mode, extra, train_passes):
+        # the round evals, the final report and the confidence runs share one
+        # rasterized test set (40 train and 12 test scenes)
+        calls = []
+        rasterize = fedavg.lidar_to_grid
+        monkeypatch.setattr(fedavg, "lidar_to_grid", lambda s, g: calls.append(s) or rasterize(s, g))
+        cfg_path = write_config(tmp_path, micro_config(mode=mode, **extra))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["train", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+        assert len(calls) == 40 * train_passes + 12
+
     def test_central_n_runs_confidence_intervals(self, tmp_path):
         cfg = micro_config(n_runs=3)
         cfg_path = write_config(tmp_path, cfg)
@@ -203,6 +220,24 @@ class TestTrain:
         out.mkdir()
         assert main(["synth", "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_retries", 0),  # was a raw RuntimeError from the retry loop
+        ("obstacles", 2.5),  # was a raw TypeError from range()
+        ("n_t", 2.0),  # was a raw TypeError from the codebook
+        ("bs_pos", [1, 2]),  # was a raw IndexError
+        ("obstacle_size_x", [3, 1]),  # was a data error from the RNG (exit 3)
+        ("obstacle_size_x", [1]),  # was accepted
+    ])
+    def test_synthetic_value_exit_2(self, tmp_path, capsys, key, value):
+        bad = micro_config()
+        bad["dataset"]["synthetic"][key] = value
+        cfg_path = write_config(tmp_path, bad)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["synth", "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: dataset.synthetic: {key} ")
         assert list(out.iterdir()) == []
 
     def test_architecture_grid_mismatch_exit_2(self, tmp_path, capsys):

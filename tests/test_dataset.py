@@ -2,12 +2,16 @@ import json
 import logging
 import os
 import tempfile
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import blocked_naive, face_points_naive, reflection_hits_naive
+from fedbeam import dataset
 from fedbeam.channel import dft_codebook
 from fedbeam.dataset import (
     Dataset,
@@ -361,3 +365,156 @@ class TestIngest:
         self._write_minimal(d, 1, 4)
         with pytest.raises(IngestError, match="at least one"):
             ingest_external(d)
+
+
+# Golden files written by the per-box geometry code before the one-pass clip
+# replaced it; regenerating each must reproduce it byte for byte. Never remake
+# them: a mismatch means a scene's bytes moved.
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data")
+GOLDEN_CASES = [
+    ("synth_default.fbds", {}, 16, 2021),
+    ("synth_12_obstacles.fbds", {"obstacles": 12, "point_spacing": 0.7}, 8, 2022),
+    ("synth_no_obstacles.fbds", {"obstacles": 0}, 4, 2023),
+]
+
+
+class TestGoldenFiles:
+    @pytest.mark.parametrize("name,overrides,n,seed", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+    def test_regenerated_bytes_match(self, tmp_path, name, overrides, n, seed):
+        path = tmp_path / name
+        save_dataset(generate_synthetic(SynthConfig(**overrides), n, seed), path)
+        with open(os.path.join(GOLDEN_DIR, name), "rb") as f:
+            golden = f.read()
+        assert path.read_bytes() == golden
+
+
+# Coordinates on a 0.1 m lattice or free, each maybe nudged by the sizes the
+# geometry's thresholds decide: the 1e-9 face shrink, the 1e-12 overlap and
+# the 1e-15 parallel and reflection tests. Segment endpoints and reflection
+# endpoints are often taken from the drawn boxes' own edges, so they land on
+# faces, face lines and corners, just inside or outside the shrunk faces.
+NUDGES = [0.0, 0.0, 0.0, 1e-9, -1e-9, 1e-9 + 1e-13, 1e-9 - 1e-13, 1e-9 + 3e-12,
+          1e-12, -1e-15, 3e-16]
+free = st.one_of(st.builds(lambda k: 0.1 * k, st.integers(-40, 40)), st.floats(-5.0, 5.0, allow_nan=False))
+size = st.one_of(st.sampled_from([0.3, 0.5, 0.6, 0.7, 0.9, 1.0, 1.4, 2.1, 1e-9, 3e-9]), st.floats(0.05, 4.0))
+
+
+@st.composite
+def box_arrays(draw, max_boxes=5):
+    rows = []
+    for _ in range(draw(st.integers(0, max_boxes))):
+        x0, y0 = draw(free), draw(free)
+        rows.append((x0, x0 + draw(size), y0, y0 + draw(size)))
+    return np.array(rows, dtype=np.float64).reshape(-1, 4)
+
+
+def draw_coord(draw, boxes, axis):
+    """A coordinate along axis: free, or a box edge on that axis, plus a nudge."""
+    if len(boxes) and draw(st.booleans()):
+        base = draw(st.sampled_from(list(boxes[:, 2 * axis : 2 * axis + 2].ravel())))
+    else:
+        base = draw(free)
+    return base + draw(st.sampled_from(NUDGES))
+
+
+@st.composite
+def clip_cases(draw):
+    boxes = draw(box_arrays())
+    origins, targets = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        ox, oy = draw_coord(draw, boxes, 0), draw_coord(draw, boxes, 1)
+        kind = draw(st.sampled_from(["free", "zero", "along_x", "along_y"]))
+        tx = ox if kind in ("zero", "along_y") else draw_coord(draw, boxes, 0)
+        ty = oy if kind in ("zero", "along_x") else draw_coord(draw, boxes, 1)
+        origins.append((ox, oy))
+        targets.append((tx, ty))
+    return boxes, np.array(origins), np.array(targets)
+
+
+@st.composite
+def reflection_cases(draw):
+    boxes = draw(box_arrays())
+    src = np.array([draw_coord(draw, boxes, 0), draw_coord(draw, boxes, 1)])
+    dst = np.array([draw_coord(draw, boxes, 0), draw_coord(draw, boxes, 1)])
+    return boxes, src, dst
+
+
+def blocked_per_segment(origins, targets, boxes):
+    return np.array([blocked_naive(o, t[None], boxes)[0] for o, t in zip(origins, targets)], dtype=bool)
+
+
+BOX = np.array([[0.0, 2.0, 0.0, 1.0]])
+
+
+class TestGeometryOracles:
+    """The one-pass scene geometry against the per-box loops it replaced."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=clip_cases(), pairs=st.integers(1, 40))
+    def test_clip_matches_per_box_loop(self, case, pairs):
+        boxes, origins, targets = case
+        # a small block size splits the rows at every possible place
+        with mock.patch.object(dataset, "_CLIP_PAIRS", pairs):
+            got = dataset._blocked(origins, targets, boxes)
+        assert np.array_equal(got, blocked_per_segment(origins, targets, boxes))
+
+    @pytest.mark.parametrize("origin, target, boxes, expected", [
+        ((-1.0, 0.5), (0.0, 0.5), BOX, False),  # ends on a face
+        ((-1.0, 0.5), (5e-10, 0.5), BOX, False),  # ends inside the face shrink
+        ((-1.0, 0.0), (3.0, 0.0), BOX, False),  # runs along a face line
+        ((-1.0, 1.0), (1.0, -1.0), BOX, False),  # grazes a corner
+        ((-1.0, -1.0), (1.0, 1.0), BOX, True),  # through a corner into the box
+        ((-1.0, 0.5), (3.0, 0.5), BOX, True),  # parallel to x, through the box
+        ((1.0, -1.0), (1.0, 3.0), BOX, True),  # parallel to y, through the box
+        ((-1.0, 1.5), (3.0, 1.5), BOX, False),  # parallel to x, beside the box
+        ((1.0, 0.5), (1.0, 0.5), BOX, True),  # zero length, inside
+        ((3.0, 0.5), (3.0, 0.5), BOX, False),  # zero length, outside
+        ((1e-9 - 2e-16, 0.5), (1e-9 + 3e-16, 0.5), BOX, False),  # shorter than the parallel test
+        ((-1.0, 0.5), (1e-9 + 1e-13, 0.5), BOX, False),  # overlap below 1e-12
+        ((-1.0, 0.5), (3.0, 0.5), np.zeros((0, 4)), False),  # no boxes
+    ])
+    def test_grazing_segments(self, origin, target, boxes, expected):
+        origins, targets = np.array([origin]), np.array([target])
+        assert dataset._blocked(origins, targets, boxes)[0] == expected
+        assert blocked_per_segment(origins, targets, boxes)[0] == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(boxes=box_arrays(max_boxes=6),
+           spacing=st.one_of(st.sampled_from([0.25, 0.3, 0.5, 0.7, 1.0]), st.floats(0.05, 3.0)))
+    def test_perimeter_points_match_per_face_loop(self, boxes, spacing):
+        got = dataset._perimeter_points(dataset._faces(boxes), spacing)
+        want = np.concatenate([face_points_naive(b, spacing) for b in boxes] + [np.zeros((0, 2))])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=reflection_cases())
+    def test_reflection_hits_match_per_face_loop(self, case):
+        boxes, src, dst = case
+        got = dataset._reflection_hits(dataset._faces(boxes), src, dst)
+        want = reflection_hits_naive(boxes, src, dst)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("src, dst, expected", [
+        ((-3e-16, 0.2), (-3e-16, 0.8), [[2.0, 0.5]]),  # both within 1e-15 of the x0 line
+        ((-3.0, 0.5), (-1e-17, 0.5), [[2.0, 0.5]]),  # t rounds to 1 on the x0 face
+        ((-1.0, 0.0), (-1.0, 2.0), [[0.0, 1.0], [2.0, 1.0]]),  # bounce at a face end
+        ((0.0, 0.5), (-1.0, 0.5), [[2.0, 0.5]]),  # src on the x0 line
+        ((-1.0, 0.5), (-1.0, 0.5), [[0.0, 0.5], [2.0, 0.5]]),  # src == dst
+    ])
+    def test_reflection_edge_cases(self, src, dst, expected):
+        src, dst = np.array(src), np.array(dst)
+        got = dataset._reflection_hits(dataset._faces(BOX), src, dst)
+        assert got.tolist() == expected
+        assert reflection_hits_naive(BOX, src, dst).tolist() == expected
+
+    def test_clip_memory_is_bounded(self):
+        # 150 boxes at 0.05 m spacing: ~37k segments x 150 boxes per scene
+        cfg = SynthConfig(obstacles=150, point_spacing=0.05, area=(0, 200, 0, 1000),
+                          bs_pos=(-20, 500, 5))
+        tracemalloc.start()
+        try:
+            generate_synthetic(cfg, 3, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
