@@ -200,8 +200,11 @@ def _load_datasets(cfg):
     ds = cfg.dataset
     if "synthetic" in ds:
         synth = _build_synth(ds["synthetic"])
-        train = generate_synthetic(synth, int(ds["synthetic"]["n_train"]), seed=cfg.seed)
-        test = generate_synthetic(synth, int(ds["synthetic"].get("n_test", 0)), seed=cfg.seed + 1)
+        try:
+            train = generate_synthetic(synth, int(ds["synthetic"]["n_train"]), seed=cfg.seed)
+            test = generate_synthetic(synth, int(ds["synthetic"].get("n_test", 0)), seed=cfg.seed + 1)
+        except ValueError as e:
+            raise ConfigError(f"dataset.synthetic: {e}") from e
         return train, test
     if "train_file" in ds:
         return load_dataset(ds["train_file"]), load_dataset(ds["test_file"])

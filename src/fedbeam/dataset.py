@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .channel import BeamCodebook, ChannelSet, beam_powers, optimal_beam
-from .errors import FormatError, IngestError, IntegrityError
+from .errors import BoundedReader, FormatError, IngestError, IntegrityError
 
 __all__ = [
     "Sample",
@@ -58,6 +58,14 @@ def _f32(a, shape=None):
     if shape is not None:
         out = out.reshape(shape)
     return out
+
+
+def require_int(name, value, least, most=None):
+    """ValueError unless value is an integer (bools excluded) in [least, most]."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least
+            or (most is not None and value > most)):
+        bounds = f">= {least}" if most is None else f"in [{least}, {most}]"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
 @dataclass(eq=False)
@@ -127,9 +135,7 @@ class DatasetMeta:
 
     def __post_init__(self):
         for name in ("c_t", "c_r", "n_t", "n_r", "n_c"):
-            v = getattr(self, name)
-            if not 1 <= v <= 0xFFFF:
-                raise ValueError(f"{name}={v} out of range [1, 65535]")
+            require_int(name, getattr(self, name), 1, 0xFFFF)
         if len(self.area) != 4:
             raise ValueError("area must be (x_min, x_max, y_min, y_max)")
         # area is stored as float32 on disk; coerce now so round-trips are exact
@@ -209,42 +215,9 @@ def save_dataset(ds, path):
                 f.write(s.powers.astype("<f4").tobytes())
 
 
-class _Reader:
-    def __init__(self, data):
-        self.data = data
-        self.offset = 0
-
-    def take(self, n, what, sample=None):
-        if self.offset + n > len(self.data):
-            if sample is None:
-                raise FormatError(f"file truncated while reading {what}", self.offset)
-            raise IntegrityError(
-                f"file truncated while reading {what} of sample {sample} "
-                f"(byte offset {self.offset})"
-            )
-        chunk = self.data[self.offset : self.offset + n]
-        self.offset += n
-        return chunk
-
-    def unpack(self, fmt, what, sample=None):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what, sample))
-
-    def floats(self, count, what, sample=None):
-        raw = self.take(4 * count, what, sample)
-        return np.frombuffer(raw, dtype="<f4").copy()
-
-
 def load_dataset(path):
     """Read a file written by save_dataset; bit-exact on float32 payloads."""
-    with open(path, "rb") as f:
-        data = f.read()
-    r = _Reader(data)
-    magic = r.take(4, "magic")
-    if magic != _MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {_MAGIC!r}", 0)
-    (version,) = r.unpack("<I", "version")
-    if version != _VERSION:
-        raise FormatError(f"unsupported version {version}", 4)
+    r = BoundedReader(path, _MAGIC, _VERSION)
     c_t, c_r, n_t, n_r, n_c = r.unpack("<5H", "meta counts")
     area = tuple(float(v) for v in r.floats(4, "area box"))
     seed, count = r.unpack("<QQ", "seed/sample count")
@@ -252,27 +225,24 @@ def load_dataset(path):
         meta = DatasetMeta(c_t=c_t, c_r=c_r, n_t=n_t, n_r=n_r, n_c=n_c, area=area, seed=seed)
     except ValueError as e:
         raise FormatError(f"invalid meta block: {e}", 8) from e
+    r.header = False
 
     samples = []
     for k in range(count):
-        (n_points,) = r.unpack("<I", "point count", sample=k)
+        (n_points,) = r.unpack("<I", f"point count of sample {k}")
         if n_points > MAX_CLOUD_POINTS:
             raise IntegrityError(f"sample {k} declares {n_points} points, max {MAX_CLOUD_POINTS}")
-        cloud = r.floats(3 * n_points, "point cloud", sample=k).reshape(-1, 3)
-        vehicle = r.floats(3, "vehicle position", sample=k)
-        bs = r.floats(3, "BS position", sample=k)
-        label, flag = r.unpack("<HB", "label/powers flag", sample=k)
-        powers = r.floats(meta.n_pairs, "powers", sample=k) if flag else None
+        cloud = r.floats(3 * n_points, f"point cloud of sample {k}").reshape(-1, 3)
+        vehicle = r.floats(3, f"vehicle position of sample {k}")
+        bs = r.floats(3, f"BS position of sample {k}")
+        label, flag = r.unpack("<HB", f"label/powers flag of sample {k}")
+        powers = r.floats(meta.n_pairs, f"powers of sample {k}") if flag else None
         try:
             samples.append(Sample(cloud=cloud, vehicle_pos=vehicle, bs_pos=bs, label=label, powers=powers))
         except ValueError as e:
             raise IntegrityError(f"sample {k} violates invariants: {e}") from e
 
-    if r.offset != len(data):
-        raise IntegrityError(
-            f"{len(data) - r.offset} trailing bytes after the declared {count} samples "
-            f"(byte offset {r.offset})"
-        )
+    r.finish(f"the declared {count} samples")
     try:
         return Dataset(meta=meta, samples=samples)
     except ValueError as e:
@@ -321,7 +291,6 @@ class SynthConfig:
     obstacles: int = 6
     obstacle_size_x: tuple = (1.0, 3.0)
     obstacle_size_y: tuple = (2.0, 6.0)
-    obstacle_height: tuple = (1.0, 3.0)
     point_spacing: float = 0.5
     n_t: int = 16
     n_r: int = 4
@@ -335,11 +304,9 @@ class SynthConfig:
     max_retries: int = 100
 
     def __post_init__(self):
-        for name in ("obstacles", "n_t", "n_r", "n_c", "c_t", "c_r", "max_retries"):
-            v, least = getattr(self, name), int(name != "obstacles")
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
-        ranges = ("obstacle_size_x", "obstacle_size_y", "obstacle_height")
+        require_int("obstacles", self.obstacles, 0)
+        require_int("max_retries", self.max_retries, 1)
+        ranges = ("obstacle_size_x", "obstacle_size_y")
         for name, count in (("area", 4), ("bs_pos", 3), *((r, 2) for r in ranges)):
             v = getattr(self, name)
             if not (isinstance(v, (tuple, list, np.ndarray)) and len(v) == count
@@ -358,6 +325,7 @@ class SynthConfig:
                 raise ValueError(f"{name} must satisfy 0 < low <= high, got ({lo}, {hi})")
         if self.point_spacing <= 0:
             raise ValueError("point_spacing must be positive")
+        self.meta(0)  # the antenna and codebook counts obey the .fbds u16 bounds
 
     def meta(self, seed):
         return DatasetMeta(
@@ -543,7 +511,7 @@ def _draw_obstacles(cfg, rng):
         sy = min(sy, y1_area - y0_area)
         x0 = rng.uniform(x0_area, x1_area - sx)
         y0 = rng.uniform(y0_area, y1_area - sy)
-        rng.uniform(*cfg.obstacle_height)  # box height: never read, drawn so seeds keep their scenes
+        rng.random()  # a draw nothing uses, kept so every seed keeps its scenes
         boxes.append((x0, x0 + sx, y0, y0 + sy))
     return np.array(boxes, dtype=np.float64).reshape(-1, 4)
 
@@ -566,9 +534,9 @@ def generate_synthetic(cfg, n, seed):
             if not (_inside(boxes, cfg.bs_pos[0], cfg.bs_pos[1]) or _inside(boxes, *vehicle_xy)):
                 break
         else:
-            raise RuntimeError(
-                f"scene {k}: no valid geometry after {cfg.max_retries} retries "
-                "(BS or vehicle keeps landing inside an obstacle)"
+            raise ValueError(
+                f"max_retries {cfg.max_retries} exhausted at scene {k}: "
+                "the BS or vehicle keeps landing inside an obstacle"
             )
         samples.append(synthesize_scene(cfg, vehicle_xy, boxes, codebook))
     return Dataset(meta=cfg.meta(seed), samples=samples)

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the bounded reader that
+raises them for the binary formats (.fbds datasets, .fbnn checkpoints)."""
+
+import struct
+
+import numpy as np
 
 
 class FedBeamError(Exception):
@@ -32,3 +37,45 @@ class NumericError(FedBeamError):
 class MetricUnavailableError(FedBeamError):
     """A metric cannot be computed from the given data (e.g. throughput
     ratio without per-sample beam powers). Distinct from a compute error."""
+
+
+class BoundedReader:
+    """Little-endian reads over one whole binary file, never past its end.
+
+    Opening checks the 4-byte magic and the u32 version. While `header` is
+    True a short read raises FormatError; the caller clears it once the
+    header is read, and from then on a short read raises IntegrityError.
+    finish() rejects bytes left over after the declared payload.
+    """
+
+    def __init__(self, path, magic, version):
+        with open(path, "rb") as f:
+            self.data = f.read()
+        self.offset = 0
+        self.header = True
+        found = self.take(len(magic), "magic")
+        if found != magic:
+            raise FormatError(f"bad magic {found!r}, expected {magic!r}", 0)
+        (found,) = self.unpack("<I", "version")
+        if found != version:
+            raise FormatError(f"unsupported version {found}", len(magic))
+
+    def take(self, n, what):
+        if self.offset + n > len(self.data):
+            if self.header:
+                raise FormatError(f"file truncated while reading {what}", self.offset)
+            raise IntegrityError(f"file truncated while reading {what} (byte offset {self.offset})")
+        chunk = self.data[self.offset : self.offset + n]
+        self.offset += n
+        return chunk
+
+    def unpack(self, fmt, what):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def floats(self, count, what):
+        return np.frombuffer(self.take(4 * count, what), dtype="<f4").copy()
+
+    def finish(self, what):
+        extra = len(self.data) - self.offset
+        if extra:
+            raise IntegrityError(f"{extra} trailing bytes after {what} (byte offset {self.offset})")

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import nn
 from .channel import throughput_ratio, topk_accuracy
+from .dataset import require_int
 from .errors import NumericError
 from .fedavg import predict_proba, preprocess_dataset
 
@@ -62,10 +63,8 @@ class CentralTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("need at least one epoch")
-        if self.batch_size < 2:
-            raise ValueError("batch size must be >= 2 (batch statistics)")
+        for name, least in (("epochs", 1), ("batch_size", 2), ("lr_drop_epoch", 0), ("seed", 0)):
+            require_int(name, getattr(self, name), least)
         if self.lr <= 0:
             raise ValueError("learning rate must be positive")
 

@@ -9,7 +9,10 @@ parameter delta g_v. The server applies
 
 summing in ascending vehicle order so results are bit-reproducible, then
 broadcasts. Every aggregation moves |theta| float32 values down to each
-vehicle and V * |theta| up, which the round log tracks exactly. After each
+vehicle and V * |theta| up, which the round log tracks exactly as O_DL and
+O_UL. Those counters cover theta only: the batch-norm running statistics
+travel too, 2 * sum(out_channels) floats each way per vehicle (60 at the
+default architecture), and are not counted. After each
 aggregation the round log also records top-1 and top-K test accuracy and the
 top-K throughput ratio, read off the channel.topk_accuracy and
 channel.throughput_ratio curves of one (N, C) probability matrix.
@@ -28,6 +31,7 @@ import numpy as np
 
 from . import nn
 from .channel import topk_accuracy, throughput_ratio
+from .dataset import partition_uniform, require_int
 from .errors import NumericError
 from .preprocess import lidar_to_grid
 
@@ -65,16 +69,12 @@ class FedConfig:
     accuracy_top_k: int = 10
 
     def __post_init__(self):
-        if self.vehicles < 1:
-            raise ValueError("need at least one vehicle")
-        if self.local_epochs < 1:
-            raise ValueError("need at least one local epoch per round")
-        if self.max_rounds < 1:
-            raise ValueError("need at least one round")
+        for name, least in (("vehicles", 1), ("local_epochs", 1), ("max_rounds", 1),
+                            ("batch_size", 2), ("partition_seed", 0), ("init_seed", 0),
+                            ("shuffle_seed", 0), ("accuracy_top_k", 1)):
+            require_int(name, getattr(self, name), least)
         if self.server_lr <= 0 or self.local_lr <= 0:
             raise ValueError("learning rates must be positive")
-        if self.batch_size < 2:
-            raise ValueError("batch size must be >= 2 (batch statistics)")
 
 
 @dataclass
@@ -189,8 +189,6 @@ def run_federated(cfg, ds_train, ds_test, spec, grid, test_tensors=None):
     streams, so any scheduling/parallelization of the local rounds would
     produce the same deltas.
     """
-    from .dataset import partition_uniform  # local import to avoid a cycle
-
     if len(ds_test) == 0:
         raise ValueError("test dataset is empty")
     train_inputs, train_labels = preprocess_dataset(ds_train, grid)

@@ -15,12 +15,12 @@ state small enough to ship around in a federated setting.
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import FormatError, IntegrityError, NumericError
+from .errors import BoundedReader, IntegrityError, NumericError
 
 __all__ = [
     "ConvSpec",
@@ -46,6 +46,9 @@ _CKPT_VERSION = 1
 BN_MOMENTUM = 0.9
 BN_EPS = 1e-5
 PRELU_INIT = 0.25
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -113,23 +116,6 @@ class ArchitectureSpec:
     def flat_features(self):
         c, h, w = self.feature_shapes()[-1]
         return c * h * w
-
-    def to_dict(self):
-        return {
-            "input_shape": list(self.input_shape),
-            "convs": [
-                {
-                    "in_channels": c.in_channels,
-                    "out_channels": c.out_channels,
-                    "kernel": list(c.kernel),
-                    "stride": c.stride,
-                    "padding": c.padding,
-                }
-                for c in self.convs
-            ],
-            "hidden": self.hidden,
-            "n_classes": self.n_classes,
-        }
 
     @classmethod
     def from_dict(cls, d):
@@ -248,8 +234,6 @@ class BatchNormState:
 
     means: list
     variances: list
-    momentum: float = BN_MOMENTUM
-    eps: float = BN_EPS
 
     def __post_init__(self):
         for v in self.variances:
@@ -260,8 +244,6 @@ class BatchNormState:
         return BatchNormState(
             means=[m.copy() for m in self.means],
             variances=[v.copy() for v in self.variances],
-            momentum=self.momentum,
-            eps=self.eps,
         )
 
     def stat_vector(self):
@@ -279,8 +261,6 @@ class BatchNormState:
         return cls(
             means=[np.mean([s.means[k] for s in states], axis=0) for k in range(len(first.means))],
             variances=[np.mean([s.variances[k] for s in states], axis=0) for k in range(len(first.variances))],
-            momentum=first.momentum,
-            eps=first.eps,
         )
 
 
@@ -423,18 +403,17 @@ def forward(spec, theta, bn_state, batch, mode="eval", update_stats=True):
             z -= mu[:, None, None, None]
             var = np.einsum("cbij,cbij->c", z, z) / m
             if update_stats:
-                mom = bn_state.momentum
-                bn_state.means[k] = (mom * bn_state.means[k] + (1 - mom) * mu).astype(
+                bn_state.means[k] = (BN_MOMENTUM * bn_state.means[k] + (1 - BN_MOMENTUM) * mu).astype(
                     bn_state.means[k].dtype
                 )
-                bn_state.variances[k] = (mom * bn_state.variances[k] + (1 - mom) * var).astype(
+                bn_state.variances[k] = (BN_MOMENTUM * bn_state.variances[k] + (1 - BN_MOMENTUM) * var).astype(
                     bn_state.variances[k].dtype
                 )
         else:
             mu = bn_state.means[k].astype(dtype)
             var = bn_state.variances[k].astype(dtype)
             z -= mu[:, None, None, None]
-        inv = 1.0 / np.sqrt(var + bn_state.eps)
+        inv = 1.0 / np.sqrt(var + BN_EPS)
         z *= inv[:, None, None, None]
         xhat = z  # normalized activations; z is consumed in place
         bn_out = gamma[:, None, None, None] * xhat
@@ -575,9 +554,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def zeros(cls, n, dtype=np.float32):
@@ -592,13 +568,12 @@ def adam_step(state, theta, grad, lr):
     if not np.all(np.isfinite(grad)):
         raise NumericError(f"non-finite gradient ({np.count_nonzero(~np.isfinite(grad))} entries)")
     t = state.t + 1
-    m = state.beta1 * state.m + (1 - state.beta1) * grad
-    v = state.beta2 * state.v + (1 - state.beta2) * grad**2
-    m_hat = m / (1 - state.beta1**t)
-    v_hat = v / (1 - state.beta2**t)
-    new_theta = theta - lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    new_state = AdamState(m=m, v=v, t=t, beta1=state.beta1, beta2=state.beta2, eps=state.eps)
-    return new_state, new_theta
+    m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * grad**2
+    m_hat = m / (1 - ADAM_BETA1**t)
+    v_hat = v / (1 - ADAM_BETA2**t)
+    new_theta = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return AdamState(m=m, v=v, t=t), new_theta
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +585,7 @@ def save_checkpoint(spec, theta, bn_state, path):
     layout = build_layout(spec)
     if theta.shape != (layout.total,):
         raise IntegrityError(f"theta has {theta.shape[0]} entries, spec needs {layout.total}")
-    spec_json = json.dumps(spec.to_dict(), sort_keys=True).encode("utf-8")
+    spec_json = json.dumps(asdict(spec), sort_keys=True).encode("utf-8")
     stats = bn_state.stat_vector()
     if stats.shape[0] != 2 * sum(c.out_channels for c in spec.convs):
         raise IntegrityError("BN state does not match the spec's conv channels")
@@ -646,27 +621,13 @@ def load_checkpoint(path, expect_spec=None):
     With expect_spec given, an incompatible checkpoint raises IntegrityError
     naming the first mismatching layer.
     """
-    with open(path, "rb") as f:
-        data = f.read()
-
-    def take(offset, n, what):
-        if offset + n > len(data):
-            raise IntegrityError(f"checkpoint truncated while reading {what} (byte offset {offset})")
-        return data[offset : offset + n], offset + n
-
-    chunk, off = take(0, 4, "magic")
-    if chunk != _CKPT_MAGIC:
-        raise FormatError(f"bad magic {chunk!r}, expected {_CKPT_MAGIC!r}", 0)
-    chunk, off = take(off, 4, "version")
-    (version,) = struct.unpack("<I", chunk)
-    if version != _CKPT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}", 4)
-    chunk, off = take(off, 4, "spec length")
-    (spec_len,) = struct.unpack("<I", chunk)
-    chunk, off = take(off, spec_len, "spec JSON")
+    r = BoundedReader(path, _CKPT_MAGIC, _CKPT_VERSION)
+    r.header = False
+    (spec_len,) = r.unpack("<I", "spec length")
+    spec_json = r.take(spec_len, "spec JSON")
     try:
-        spec = ArchitectureSpec.from_dict(json.loads(chunk.decode("utf-8")))
-    except (ValueError, KeyError) as e:
+        spec = ArchitectureSpec.from_dict(json.loads(spec_json.decode("utf-8")))
+    except (ValueError, KeyError, TypeError) as e:
         raise IntegrityError(f"checkpoint spec JSON is invalid: {e}") from e
 
     if expect_spec is not None:
@@ -675,31 +636,20 @@ def load_checkpoint(path, expect_spec=None):
             raise IntegrityError(f"checkpoint does not match the expected architecture: {mismatch}")
 
     layout = build_layout(spec)
-    chunk, off = take(off, 8, "param count")
-    (n_params,) = struct.unpack("<Q", chunk)
+    (n_params,) = r.unpack("<Q", "param count")
     if n_params != layout.total:
         raise IntegrityError(
             f"checkpoint declares {n_params} parameters but its spec needs {layout.total}"
         )
-    chunk, off = take(off, 4 * n_params, "parameters")
-    theta = np.frombuffer(chunk, dtype="<f4").copy()
-    chunk, off = take(off, 8, "BN stat count")
-    (n_stats,) = struct.unpack("<Q", chunk)
-    expected_stats = sum(c.out_channels for c in spec.convs)
-    if n_stats != expected_stats:
-        raise IntegrityError(f"checkpoint has {n_stats} BN channels, spec needs {expected_stats}")
-    chunk, off = take(off, 4 * 2 * n_stats, "BN statistics")
-    stats = np.frombuffer(chunk, dtype="<f4").copy()
-    if off != len(data):
-        raise IntegrityError(f"{len(data) - off} trailing bytes in checkpoint")
+    theta = r.floats(n_params, "parameters")
+    (n_stats,) = r.unpack("<Q", "BN stat count")
+    widths = [c.out_channels for c in spec.convs]
+    if n_stats != sum(widths):
+        raise IntegrityError(f"checkpoint has {n_stats} BN channels, spec needs {sum(widths)}")
+    stats = r.floats(2 * n_stats, "BN statistics")
+    r.finish("checkpoint")
 
-    means, variances = [], []
-    cursor = 0
-    for c in spec.convs:
-        means.append(stats[cursor : cursor + c.out_channels].copy())
-        cursor += c.out_channels
-    for c in spec.convs:
-        variances.append(stats[cursor : cursor + c.out_channels].copy())
-        cursor += c.out_channels
-    bn = BatchNormState(means=means, variances=variances)
+    # means of every conv, then variances of every conv
+    parts = np.split(stats, np.cumsum(widths + widths)[:-1])
+    bn = BatchNormState(means=parts[: len(widths)], variances=parts[len(widths) : 2 * len(widths)])
     return spec, theta, bn

@@ -57,16 +57,6 @@ class GridConfig:
     def shape(self):
         return (self.cells_x, self.cells_y)
 
-    def to_dict(self):
-        return {
-            "x_min": self.x_min,
-            "x_max": self.x_max,
-            "y_min": self.y_min,
-            "y_max": self.y_max,
-            "cells_x": self.cells_x,
-            "cells_y": self.cells_y,
-        }
-
     @classmethod
     def from_dict(cls, d):
         return cls(**{k: d[k] for k in ("x_min", "x_max", "y_min", "y_max", "cells_x", "cells_y")})

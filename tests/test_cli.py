@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ from fedbeam.nn import ArchitectureSpec, count_flops, count_params, default_arch
 from fedbeam.preprocess import GridConfig
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+GOLDEN_FBDS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "synth_no_obstacles.fbds")
 T975_2 = 4.302652729749462  # t_{0.975, 2} from SciPy 1.17.1
 
 
@@ -207,6 +209,11 @@ class TestTrain:
         ("dataset", {"train_ingest": {"directory": ".", "spec": None},
                      "test_ingest": {"directory": "."}}, "dataset.train_ingest.spec"),
         ("output_dir", [1], "output_dir"),
+        ("federated.vehicles", 2.5, "federated"),  # was a raw TypeError in training
+        ("federated.partition_seed", True, "federated"),
+        ("federated.accuracy_top_k", 0, "federated"),  # was exit 3 after a whole round
+        ("central.epochs", 1.5, "central"),  # was a raw TypeError in training
+        ("central.seed", "3", "central"),
     ])
     def test_mistyped_field_exit_2(self, tmp_path, capsys, path, value, field):
         bad = micro_config()
@@ -229,10 +236,15 @@ class TestTrain:
         ("bs_pos", [1, 2]),  # was a raw IndexError
         ("obstacle_size_x", [3, 1]),  # was a data error from the RNG (exit 3)
         ("obstacle_size_x", [1]),  # was accepted
+        ("c_t", 70000),  # was a data error from the .fbds meta block (exit 3)
+        # one box covers the whole street, so every vehicle draw lands inside it;
+        # was a raw RuntimeError from the retry loop
+        ("max_retries", {"obstacles": 1, "obstacle_size_x": [3, 3], "obstacle_size_y": [15, 15]}),
     ])
     def test_synthetic_value_exit_2(self, tmp_path, capsys, key, value):
+        """value sets key, or is a dict of several fields whose error names key."""
         bad = micro_config()
-        bad["dataset"]["synthetic"][key] = value
+        bad["dataset"]["synthetic"].update(value if isinstance(value, dict) else {key: value})
         cfg_path = write_config(tmp_path, bad)
         out = tmp_path / "out"
         out.mkdir()
@@ -322,6 +334,19 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(tmp_path / "none.fbnn"),
                      "--dataset", str(out / "test.fbds"),
                      "--out", str(out)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("spec", [
+        [],
+        {"input_shape": None, "convs": [], "hidden": None, "n_classes": 5},
+        {"input_shape": [2, 5], "convs": 5, "hidden": None, "n_classes": 5},
+    ])
+    def test_malformed_checkpoint_spec_exit_3(self, tmp_path, capsys, spec):
+        text = json.dumps(spec).encode()
+        ckpt = tmp_path / "model.fbnn"
+        ckpt.write_bytes(b"FBNN" + struct.pack("<II", 1, len(text)) + text)
+        assert main(["eval", "--checkpoint", str(ckpt), "--dataset", GOLDEN_FBDS,
+                     "--out", str(tmp_path)]) == EXIT_DATA
+        assert "checkpoint spec JSON is invalid" in capsys.readouterr().err
 
     def test_corrupt_dataset_exit_3(self, tmp_path):
         cfg_path, out = self._train(tmp_path)

@@ -146,6 +146,16 @@ class TestRoundTrip:
         with pytest.raises(IntegrityError, match="trailing"):
             load_dataset(path)
 
+    def test_every_prefix_is_format_or_integrity_error(self, tmp_path):
+        with open(os.path.join(GOLDEN_DIR, "synth_no_obstacles.fbds"), "rb") as f:
+            data = f.read()
+        path = tmp_path / "prefix.fbds"
+        for n in range(len(data)):
+            path.write_bytes(data[:n])
+            # the header (magic, version, meta block) is the first 50 bytes
+            with pytest.raises(FormatError if n < 50 else IntegrityError):
+                load_dataset(path)
+
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_roundtrip_property(self, data):

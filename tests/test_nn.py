@@ -1,9 +1,12 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from conftest import draw_gradient_check_case, random_micro_spec
 
 from fedbeam.errors import FormatError, IntegrityError, NumericError
 from fedbeam.nn import (
+    BN_EPS,
     AdamState,
     ArchitectureSpec,
     BatchNormState,
@@ -64,7 +67,7 @@ class TestSpecValidation:
 
     def test_json_round_trip(self):
         spec = micro_spec()
-        assert ArchitectureSpec.from_dict(spec.to_dict()) == spec
+        assert ArchitectureSpec.from_dict(asdict(spec)) == spec
 
     def test_default_shape_contract(self):
         spec = default_architecture()
@@ -162,7 +165,7 @@ class TestForward:
         _, bn = init_params(spec, seed=0)
 
         x = np.array([[[[1.0, -2.0], [0.5, 0.0]]]])
-        c = 1.0 / np.sqrt(1.0 + bn.eps)  # eval-mode BN with mean 0, var 1
+        c = 1.0 / np.sqrt(1.0 + BN_EPS)  # eval-mode BN with mean 0, var 1
         act = np.array([1.0 * c, 0.25 * -2.0 * c, 0.5 * c, 0.0])
         logits = np.array([act[0] + 0.1, act[1] - 0.1])
         expected = np.exp(logits) / np.exp(logits).sum()
@@ -340,6 +343,18 @@ class TestCheckpoint:
         path.write_bytes(b"JUNKJUNKJUNK")
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    def test_every_prefix_is_format_or_integrity_error(self, tmp_path):
+        spec = micro_spec()
+        theta, bn = init_params(spec, seed=4)
+        path = tmp_path / "model.fbnn"
+        save_checkpoint(spec, theta, bn, path)
+        data = path.read_bytes()
+        for n in range(len(data)):
+            path.write_bytes(data[:n])
+            # the header is the magic and the version, 8 bytes
+            with pytest.raises(FormatError if n < 8 else IntegrityError):
+                load_checkpoint(path)
 
     def test_spec_mismatch_names_layer(self, tmp_path):
         spec = micro_spec()
