@@ -19,7 +19,6 @@ import glob
 import json
 import logging
 import math
-import numbers
 import os
 import struct
 from dataclasses import asdict, dataclass, field
@@ -27,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .channel import BeamCodebook, ChannelSet, beam_powers, optimal_beam
-from .errors import BoundedReader, FormatError, IngestError, IntegrityError
+from .errors import BoundedReader, FormatError, IngestError, IntegrityError, is_finite_real, require_int
 
 __all__ = [
     "Sample",
@@ -58,14 +57,6 @@ def _f32(a, shape=None):
     if shape is not None:
         out = out.reshape(shape)
     return out
-
-
-def require_int(name, value, least, most=None):
-    """ValueError unless value is an integer (bools excluded) in [least, most]."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least
-            or (most is not None and value > most)):
-        bounds = f">= {least}" if most is None else f"in [{least}, {most}]"
-        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
 @dataclass(eq=False)
@@ -136,12 +127,13 @@ class DatasetMeta:
     def __post_init__(self):
         for name in ("c_t", "c_r", "n_t", "n_r", "n_c"):
             require_int(name, getattr(self, name), 1, 0xFFFF)
-        if len(self.area) != 4:
-            raise ValueError("area must be (x_min, x_max, y_min, y_max)")
+        if not (isinstance(self.area, (tuple, list, np.ndarray)) and len(self.area) == 4
+                and all(map(is_finite_real, self.area))):
+            raise ValueError(f"area must be 4 finite numbers (x_min, x_max, y_min, y_max), "
+                             f"got {self.area!r}")
         # area is stored as float32 on disk; coerce now so round-trips are exact
         object.__setattr__(self, "area", tuple(float(np.float32(a)) for a in self.area))
-        if not 0 <= self.seed <= 0xFFFFFFFFFFFFFFFF:
-            raise ValueError("seed must fit in u64")
+        require_int("seed", self.seed, 0, 0xFFFFFFFFFFFFFFFF)
 
     @property
     def n_pairs(self):
@@ -272,10 +264,6 @@ def partition_uniform(ds, v, seed):
 # Synthetic scenes
 
 
-def _finite_number(v):
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-
-
 @dataclass(frozen=True)
 class SynthConfig:
     """Knobs for the geometric scene/channel generator.
@@ -310,11 +298,11 @@ class SynthConfig:
         for name, count in (("area", 4), ("bs_pos", 3), *((r, 2) for r in ranges)):
             v = getattr(self, name)
             if not (isinstance(v, (tuple, list, np.ndarray)) and len(v) == count
-                    and all(map(_finite_number, v))):
+                    and all(map(is_finite_real, v))):
                 raise ValueError(f"{name} must hold {count} finite numbers, got {v!r}")
         for name in ("vehicle_height", "point_spacing", "subcarrier_spacing_hz",
                      "los_gain", "reflection_gain", "reflection_falloff_m"):
-            if not _finite_number(getattr(self, name)):
+            if not is_finite_real(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         x0, x1, y0, y1 = self.area
         if x1 <= x0 or y1 <= y0:
@@ -577,13 +565,18 @@ class IngestSpec:
 def _load_meta_json(path):
     with open(path) as f:
         d = json.load(f)
+    if not isinstance(d, dict):
+        raise IngestError(f"meta file {path} must hold a JSON object")
     missing = [k for k in ("c_t", "c_r", "n_t", "n_r", "n_c", "area", "seed") if k not in d]
     if missing:
         raise IngestError(f"meta file {path} is missing fields: {', '.join(missing)}")
-    return DatasetMeta(
-        c_t=d["c_t"], c_r=d["c_r"], n_t=d["n_t"], n_r=d["n_r"], n_c=d["n_c"],
-        area=tuple(d["area"]), seed=d["seed"],
-    )
+    try:
+        return DatasetMeta(
+            c_t=d["c_t"], c_r=d["c_r"], n_t=d["n_t"], n_r=d["n_r"], n_c=d["n_c"],
+            area=d["area"], seed=d["seed"],
+        )
+    except ValueError as e:
+        raise IngestError(f"meta file {path}: {e}") from e
 
 
 def ingest_external(directory, spec=None):

@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and the bounded reader that
-raises them for the binary formats (.fbds datasets, .fbnn checkpoints)."""
+"""Exception types shared across the package, the bounded reader that
+raises them for the binary formats (.fbds datasets, .fbnn checkpoints),
+and the value checks that configs and specs share."""
 
+import math
+import numbers
 import struct
 
 import numpy as np
@@ -37,6 +40,19 @@ class NumericError(FedBeamError):
 class MetricUnavailableError(FedBeamError):
     """A metric cannot be computed from the given data (e.g. throughput
     ratio without per-sample beam powers). Distinct from a compute error."""
+
+
+def require_int(name, value, least, most=None):
+    """ValueError unless value is an integer (bools excluded) in [least, most]."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least
+            or (most is not None and value > most)):
+        bounds = f">= {least}" if most is None else f"in [{least}, {most}]"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+
+
+def is_finite_real(value):
+    """True for a finite real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 class BoundedReader:

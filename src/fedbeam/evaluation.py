@@ -17,8 +17,7 @@ import numpy as np
 
 from . import nn
 from .channel import throughput_ratio, topk_accuracy
-from .dataset import require_int
-from .errors import NumericError
+from .errors import NumericError, require_int
 from .fedavg import predict_proba, preprocess_dataset
 
 __all__ = [

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from fedbeam.dataset import SynthConfig, generate_synthetic
-from fedbeam.nn import ArchitectureSpec, ConvSpec, count_params, forward, init_params
+from fedbeam.nn import (
+    BN_EPS,
+    ArchitectureSpec,
+    ConvSpec,
+    _conv_forward,
+    build_layout,
+    count_params,
+    forward,
+    init_params,
+)
 from fedbeam.preprocess import GridConfig
 
 # Desk-scale benchmark shared across test modules: 64 beam pairs,
@@ -112,6 +121,31 @@ def reflection_hits_naive(boxes, src, dst):
             if hit is not None:
                 hits.append(hit)
     return np.array(hits, dtype=np.float64).reshape(-1, 2)
+
+
+def forward_eval_unfolded(spec, theta, bn_state, batch):
+    """Eval-mode forward with batch norm kept as its own pass after each
+    conv (running statistics), then np.where PReLU: the oracle for the
+    folded eval path of nn.forward, with the same float operations the
+    unfolded path used."""
+    layout = build_layout(spec)
+    dtype = theta.dtype
+    x = np.asarray(batch).astype(dtype, copy=False).transpose(1, 0, 2, 3)
+    for k, conv in enumerate(spec.convs):
+        z, _ = _conv_forward(x, layout.view(theta, f"conv{k}.weight"),
+                             layout.view(theta, f"conv{k}.bias"), conv)
+        z -= bn_state.means[k].astype(dtype)[:, None, None, None]
+        z *= (1.0 / np.sqrt(bn_state.variances[k].astype(dtype) + BN_EPS))[:, None, None, None]
+        bn_out = layout.view(theta, f"bn{k}.scale")[:, None, None, None] * z
+        bn_out += layout.view(theta, f"bn{k}.shift")[:, None, None, None]
+        slope = layout.view(theta, f"prelu{k}.slope")[:, None, None, None]
+        x = np.where(bn_out > 0, bn_out, slope * bn_out)
+    h = x.transpose(1, 0, 2, 3).reshape(x.shape[1], -1)
+    if spec.hidden is not None:
+        h = np.maximum(h @ layout.view(theta, "linear1.weight").T + layout.view(theta, "linear1.bias"), 0)
+    logits = h @ layout.view(theta, "linear2.weight").T + layout.view(theta, "linear2.bias")
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def micro_world(n_train=60, n_test=16, obstacles=2):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 from fedbeam import fedavg
 from fedbeam.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
-from fedbeam.dataset import Dataset, Sample, load_dataset
+from fedbeam.dataset import Dataset, Sample, export_exchange, load_dataset
 from fedbeam.evaluation import CentralTrainConfig, evaluate, train_centralized
 from fedbeam.nn import ArchitectureSpec, count_flops, count_params, default_architecture
 from fedbeam.preprocess import GridConfig
@@ -17,6 +18,7 @@ from fedbeam.preprocess import GridConfig
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 GOLDEN_FBDS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "synth_no_obstacles.fbds")
 T975_2 = 4.302652729749462  # t_{0.975, 2} from SciPy 1.17.1
+CONV = {"in_channels": 1, "out_channels": 1, "kernel": [1, 1], "stride": 1, "padding": 0}
 
 
 def micro_config(mode="central", n_train=40, n_test=12, **extra):
@@ -214,6 +216,12 @@ class TestTrain:
         ("federated.accuracy_top_k", 0, "federated"),  # was exit 3 after a whole round
         ("central.epochs", 1.5, "central"),  # was a raw TypeError in training
         ("central.seed", "3", "central"),
+        ("federated.target_accuracy", "x", "federated"),  # was a raw TypeError after round 1
+        ("federated.target_accuracy", True, "federated"),
+        ("federated.target_accuracy", float("nan"), "federated"),
+        ("architecture.input_shape", [math.inf, 30], "architecture"),  # was a raw OverflowError
+        ("architecture.hidden", 2.5, "architecture"),
+        ("architecture.n_classes", True, "architecture"),
     ])
     def test_mistyped_field_exit_2(self, tmp_path, capsys, path, value, field):
         bad = micro_config()
@@ -251,6 +259,20 @@ class TestTrain:
         assert main(["synth", "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"error: dataset.synthetic: {key} ")
         assert list(out.iterdir()) == []
+
+    def test_mistyped_exchange_meta_exit_3(self, tmp_path, capsys):
+        exch = tmp_path / "exch"
+        export_exchange(load_dataset(GOLDEN_FBDS), exch)
+        meta = json.loads((exch / "meta.json").read_text())
+        meta["seed"] = "x"  # was a raw TypeError from DatasetMeta
+        (exch / "meta.json").write_text(json.dumps(meta))
+        cfg = micro_config()
+        cfg["dataset"] = {"train_ingest": {"directory": str(exch)},
+                          "test_ingest": {"directory": str(exch)}}
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["train", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == EXIT_DATA
+        assert "meta.json: seed must be an integer" in capsys.readouterr().err
 
     def test_architecture_grid_mismatch_exit_2(self, tmp_path, capsys):
         bad = micro_config()
@@ -339,6 +361,14 @@ class TestEval:
         [],
         {"input_shape": None, "convs": [], "hidden": None, "n_classes": 5},
         {"input_shape": [2, 5], "convs": 5, "hidden": None, "n_classes": 5},
+        # non-integer fields; an infinite one was a raw OverflowError from int()
+        {"input_shape": [math.inf, 5], "convs": [], "hidden": None, "n_classes": 5},
+        {"input_shape": [2, 5], "convs": [], "hidden": 2.5, "n_classes": 5},
+        {"input_shape": [2, 5], "convs": [], "hidden": None, "n_classes": math.inf},
+        {"input_shape": [2, 5], "convs": [CONV | {"kernel": [1, math.inf]}], "hidden": None, "n_classes": 5},
+        {"input_shape": [2, 5], "convs": [CONV | {"out_channels": 1.0}], "hidden": None, "n_classes": 5},
+        {"input_shape": [2, 5], "convs": [CONV | {"stride": True}], "hidden": None, "n_classes": 5},
+        {"input_shape": [2, 5], "convs": [CONV | {"padding": "0"}], "hidden": None, "n_classes": 5},
     ])
     def test_malformed_checkpoint_spec_exit_3(self, tmp_path, capsys, spec):
         text = json.dumps(spec).encode()
@@ -385,6 +415,12 @@ class TestFlops:
         out = capsys.readouterr().out
         assert "parameters: 55" in out
         assert "flops:      100" in out
+
+    def test_overflowing_spec_field_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text('{"input_shape": [1e400, 5], "convs": [], "hidden": null, "n_classes": 5}')
+        assert main(["flops", "--spec", str(path)]) == EXIT_CONFIG
+        assert "input_shape must be an integer" in capsys.readouterr().err
 
     def test_invalid_spec_json_exit_2(self, tmp_path):
         path = tmp_path / "spec.json"

@@ -376,6 +376,32 @@ class TestIngest:
         with pytest.raises(IngestError, match="at least one"):
             ingest_external(d)
 
+    @pytest.mark.parametrize("key, value", [
+        ("seed", "x"),  # was a raw TypeError from the u64 comparison
+        ("seed", -1),
+        ("seed", 2**64),
+        ("seed", 1.5),
+        ("area", [0, 3, 0]),
+        ("area", [0, "3", 0, 15]),
+        ("area", [0, 3, 0, float("inf")]),
+        ("area", 5),  # was a raw TypeError from len()
+    ])
+    def test_mistyped_meta_json_rejected(self, tmp_path, key, value):
+        d = tmp_path / "exch"
+        export_exchange(load_dataset(os.path.join(GOLDEN_DIR, "synth_no_obstacles.fbds")), d)
+        meta = json.loads((d / "meta.json").read_text())
+        meta[key] = value
+        (d / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(IngestError, match=f"meta file .*meta.json: {key} "):
+            ingest_external(d)
+
+    def test_meta_json_must_be_an_object(self, tmp_path):
+        d = tmp_path / "exch"
+        export_exchange(load_dataset(os.path.join(GOLDEN_DIR, "synth_no_obstacles.fbds")), d)
+        (d / "meta.json").write_text("[1, 2]")
+        with pytest.raises(IngestError, match="JSON object"):
+            ingest_external(d)
+
 
 # Golden files written by the per-box geometry code before the one-pass clip
 # replaced it; regenerating each must reproduce it byte for byte. Never remake

@@ -2,7 +2,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from conftest import draw_gradient_check_case, random_micro_spec
+from conftest import draw_gradient_check_case, forward_eval_unfolded, random_micro_spec
 
 from fedbeam.errors import FormatError, IntegrityError, NumericError
 from fedbeam.nn import (
@@ -202,6 +202,76 @@ class TestForward:
         before = bn.stat_vector().copy()
         forward(spec, theta, bn, x, mode="train")
         assert np.any(bn.stat_vector() != before)
+
+
+def trained_bn_case(spec, seed, dtype):
+    """theta in dtype with random BN scale/shift and conv biases, PReLU
+    slopes spread over [-0.5, 1.5] in every layer (negative, below and above
+    1), and running statistics moved off (0, 1) by a few train-mode
+    forwards, so every term of the batch-norm fold is non-trivial."""
+    rng = np.random.default_rng(seed)
+    layout = build_layout(spec)
+    theta, bn = init_params(spec, seed=seed)
+    theta = theta.astype(dtype)
+    for k, conv in enumerate(spec.convs):
+        for seg, lo, hi in ((f"conv{k}.bias", -0.3, 0.3), (f"bn{k}.scale", 0.5, 2.0),
+                            (f"bn{k}.shift", -0.5, 0.5)):
+            view = layout.view(theta, seg)
+            view[...] = rng.uniform(lo, hi, view.shape)
+        layout.view(theta, f"prelu{k}.slope")[...] = np.linspace(-0.5, 1.5, conv.out_channels)
+    layout.view(theta, "linear2.weight")[...] *= 4.0  # spread the logits
+    for _ in range(3):
+        forward(spec, theta, bn, rng.standard_normal((8, 1, *spec.input_shape)), mode="train")
+    return theta, bn, rng
+
+
+def topk_sets(probs, k):
+    return [set(row) for row in np.argsort(-probs, axis=1, kind="stable")[:, :k]]
+
+
+class TestFoldedEval:
+    """Eval mode folds batch norm into the conv weights; the unfolded
+    forward in conftest is the oracle."""
+
+    def test_float64_default_arch_matches_unfolded(self):
+        spec = default_architecture(n_classes=64)
+        theta, bn, rng = trained_bn_case(spec, 11, np.float64)
+        assert all(np.abs(m).max() > 1e-3 for m in bn.means)
+        assert all(np.abs(v - 1).max() > 1e-3 for v in bn.variances)
+        x = rng.integers(-2, 2, (16, 1, *spec.input_shape)).astype(np.float32)
+        np.testing.assert_allclose(forward(spec, theta, bn, x, mode="eval"),
+                                   forward_eval_unfolded(spec, theta, bn, x), rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("batch", [16, 256])
+    def test_float32_default_arch_same_topk(self, batch):
+        spec = default_architecture(n_classes=64)
+        theta, bn, rng = trained_bn_case(spec, 12, np.float32)
+        x = rng.integers(-2, 2, (batch, 1, *spec.input_shape)).astype(np.float32)
+        folded = forward(spec, theta, bn, x, mode="eval")
+        oracle = forward_eval_unfolded(spec, theta, bn, x)
+        assert folded.dtype == np.float32
+        # the folded weights round differently; in the smallest probabilities
+        # (below 1e-3) that reaches 1.2e-5 relative, 6e-9 absolute
+        np.testing.assert_allclose(folded, oracle, rtol=1e-5, atol=1e-8)
+        for k in (1, 5, 10):
+            assert topk_sets(folded, k) == topk_sets(oracle, k)
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-10), (np.float32, 1e-5)])
+    def test_micro_arch_without_hidden_layer(self, dtype, rtol):
+        # a padding=0 conv and no hidden layer: the fold meets the head directly
+        spec = ArchitectureSpec((6, 7), (ConvSpec(1, 3, (3, 3), 1, 1), ConvSpec(3, 2, (2, 3), 2, 0)),
+                                None, 5)
+        theta, bn, rng = trained_bn_case(spec, 13, dtype)
+        x = rng.standard_normal((9, 1, 6, 7))
+        np.testing.assert_allclose(forward(spec, theta, bn, x, mode="eval"),
+                                   forward_eval_unfolded(spec, theta, bn, x), rtol=rtol, atol=0)
+
+    def test_eval_leaves_theta_untouched(self):
+        spec = micro_spec()
+        theta, bn, rng = trained_bn_case(spec, 14, np.float32)
+        before = theta.copy()
+        forward(spec, theta, bn, rng.standard_normal((3, 1, 4, 5)), mode="eval")
+        np.testing.assert_array_equal(theta, before)
 
 
 class TestLoss:
