@@ -35,7 +35,7 @@ cfg = FedConfig(vehicles=3, local_epochs=1, max_rounds=12, batch_size=8,
                 accuracy_top_k=3, partition_seed=1, init_seed=2, shuffle_seed=3)
 print(f"\n{cfg.vehicles} vehicles, {cfg.local_epochs} local epoch(s) per round, "
       f"server rate {cfg.server_lr}, local rate {cfg.local_lr} decaying by {cfg.lr_decay}/step")
-theta, bn_state, logs = run_federated(cfg, train, test, spec, grid)
+theta, bn_state, logs, _ = run_federated(cfg, train, test, spec, grid)
 
 print("\nround | top-1  | top-3  |   R    |   O_DL    |   O_UL")
 for e in logs:
@@ -58,7 +58,7 @@ for seed in range(5):
         run_cfg = FedConfig(vehicles=3, local_epochs=1, max_rounds=10, batch_size=8,
                             accuracy_top_k=3, target_accuracy=target,
                             partition_seed=seed, init_seed=seed, shuffle_seed=seed)
-        _, _, sub_logs = run_federated(run_cfg, sub, test, spec, grid)
+        _, _, sub_logs, _ = run_federated(run_cfg, sub, test, spec, grid)
         reached = rounds_to_accuracy(sub_logs, target)
         cells.append("not reached" if reached is None else f"round {reached}")
     print(f"  {seed}  | {cells[0]:>10} | {cells[1]:>10}")

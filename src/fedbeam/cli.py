@@ -293,9 +293,10 @@ def cmd_train(args):
                 ).items()
             }
     else:
-        theta, bn_state, logs = run_federated(cfg.federated, train, test, spec, cfg.grid, test_tensors)
+        theta, bn_state, logs, probs = run_federated(cfg.federated, train, test, spec, cfg.grid, test_tensors)
         write_round_csv(logs, rounds_path)
-        report = evaluate(theta, bn_state, spec, test, cfg.grid, cfg.k_max, test_tensors)
+        # the last round's eval already ran the final model over the test set
+        report = evaluate(theta, bn_state, spec, test, cfg.grid, cfg.k_max, test_tensors, probs)
         report.seeds = {
             "base": cfg.seed,
             "partition": cfg.federated.partition_seed,

@@ -55,6 +55,13 @@ def is_finite_real(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def require_real(name, value, strict=True):
+    """ValueError unless value is a finite real (bools excluded) that is > 0,
+    or >= 0 when strict is False."""
+    if not is_finite_real(value) or value < 0 or (strict and value == 0):
+        raise ValueError(f"{name} must be a finite real {'>' if strict else '>='} 0, got {value!r}")
+
+
 class BoundedReader:
     """Little-endian reads over one whole binary file, never past its end.
 

@@ -1,11 +1,12 @@
 """Centralized training reference, K-sweep evaluation, confidence intervals.
 
-evaluate() runs one eval-mode forward pass per test sample and reports, for
-every K up to K_max, the top-K accuracy and (when per-sample beam powers are
-available) the throughput ratio of the best pair inside the predicted set
-against the true optimum, both from channel.topk_accuracy/throughput_ratio
-over the (N, C) probability matrix. Both curves are non-decreasing in K and
-reach 1.0 at K = C_t * C_r.
+evaluate() runs one eval-mode forward pass per test sample (or takes the
+probabilities of one the caller already ran) and reports, for every K up to
+K_max, the top-K accuracy and (when per-sample beam powers are available)
+the throughput ratio of the best pair inside the predicted set against the
+true optimum, both from channel.topk_accuracy/throughput_ratio over the
+(N, C) probability matrix. Both curves are non-decreasing in K and reach
+1.0 at K = C_t * C_r.
 """
 
 import csv
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import nn
 from .channel import throughput_ratio, topk_accuracy
-from .errors import NumericError, require_int
+from .errors import NumericError, require_int, require_real
 from .fedavg import predict_proba, preprocess_dataset
 
 __all__ = [
@@ -64,8 +65,8 @@ class CentralTrainConfig:
     def __post_init__(self):
         for name, least in (("epochs", 1), ("batch_size", 2), ("lr_drop_epoch", 0), ("seed", 0)):
             require_int(name, getattr(self, name), least)
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+        require_real("lr", self.lr)
+        require_real("lr_drop_factor", self.lr_drop_factor)
 
 
 def train_centralized(cfg, spec, ds_train, grid, log_every=None):
@@ -156,19 +157,24 @@ class EvalReport:
                 w.writerow([int(k), f"{self.accuracy[i]:.6f}", ratio])
 
 
-def evaluate(theta, bn_state, spec, ds_test, grid, k_max=None, test_tensors=None):
+def evaluate(theta, bn_state, spec, ds_test, grid, k_max=None, test_tensors=None, probs=None):
     """Accuracy and throughput-ratio curves for K = 1..k_max.
 
     The throughput curve is None when any test sample lacks beam powers.
     test_tensors, when given, is preprocess_dataset(ds_test, grid) made by
-    the caller, and saves rasterizing the test set again.
+    the caller, and saves rasterizing the test set again. probs, when
+    given, is predict_proba of (theta, bn_state) over the test set made by
+    the caller (the last round eval of run_federated), and saves the
+    forward pass.
     """
     if len(ds_test) == 0:
         raise ValueError("test dataset is empty")
     n_classes = spec.n_classes
     k_max = n_classes if k_max is None else min(k_max, n_classes)
-    inputs, labels = preprocess_dataset(ds_test, grid) if test_tensors is None else test_tensors
-    probs = predict_proba(spec, theta, bn_state, inputs)
+    labels = ds_test.labels()
+    if probs is None:
+        inputs, _ = preprocess_dataset(ds_test, grid) if test_tensors is None else test_tensors
+        probs = predict_proba(spec, theta, bn_state, inputs)
     if probs.shape[1] != n_classes:
         raise ValueError(f"model emits {probs.shape[1]} classes, dataset has {n_classes}")
     powers = ds_test.powers()

@@ -32,7 +32,7 @@ import numpy as np
 from . import nn
 from .channel import topk_accuracy, throughput_ratio
 from .dataset import partition_uniform
-from .errors import NumericError, is_finite_real, require_int
+from .errors import NumericError, is_finite_real, require_int, require_real
 from .preprocess import lidar_to_grid
 
 __all__ = [
@@ -75,8 +75,9 @@ class FedConfig:
                             ("batch_size", 2), ("partition_seed", 0), ("init_seed", 0),
                             ("shuffle_seed", 0), ("accuracy_top_k", 1)):
             require_int(name, getattr(self, name), least)
-        if self.server_lr <= 0 or self.local_lr <= 0:
-            raise ValueError("learning rates must be positive")
+        require_real("server_lr", self.server_lr)
+        require_real("local_lr", self.local_lr)
+        require_real("lr_decay", self.lr_decay, strict=False)
         if self.target_accuracy is not None and not is_finite_real(self.target_accuracy):
             raise ValueError(f"target_accuracy must be null or a finite number, got {self.target_accuracy!r}")
 
@@ -166,11 +167,12 @@ def aggregate(theta_prev, deltas, mu):
 
 
 def _evaluate_round(spec, theta, bn_state, test_inputs, test_labels, test_powers, k):
-    """Top-1 and top-k accuracy and the top-k throughput ratio (None without powers)."""
+    """Top-1 and top-k accuracy, the top-k throughput ratio (None without
+    powers) and the probability matrix they were read from."""
     probs = predict_proba(spec, theta, bn_state, test_inputs)
     acc = topk_accuracy(probs, test_labels, k)
     ratio = None if test_powers is None else float(throughput_ratio(probs, test_powers, k)[k - 1])
-    return float(acc[0]), float(acc[k - 1]), ratio
+    return float(acc[0]), float(acc[k - 1]), ratio, probs
 
 
 def predict_proba(spec, theta, bn_state, inputs):
@@ -185,7 +187,9 @@ def run_federated(cfg, ds_train, ds_test, spec, grid, test_tensors=None):
     """Algorithm loop: local epochs, delta upload, aggregate, broadcast, eval.
 
     Stops after cfg.max_rounds or once post-aggregation top-K test accuracy
-    reaches cfg.target_accuracy. Returns (theta, bn_state, [RoundLog]).
+    reaches cfg.target_accuracy. Returns (theta, bn_state, [RoundLog],
+    probs), where probs is the final model's eval-mode (N, C) probability
+    matrix over the test set, from the last round's eval.
     test_tensors, when given, is preprocess_dataset(ds_test, grid) made by
     the caller, so a test set rasterized once can serve later evals too.
     Deterministic for fixed config and seeds; clients own disjoint RNG
@@ -221,7 +225,7 @@ def run_federated(cfg, ds_train, ds_test, spec, grid, test_tensors=None):
         o_dl += n_params
         o_ul += cfg.vehicles * n_params
 
-        top1, acc, ratio = _evaluate_round(
+        top1, acc, ratio, probs = _evaluate_round(
             spec, theta, bn_state, test_inputs, test_labels, test_powers, k
         )
         logs.append(RoundLog(
@@ -236,7 +240,7 @@ def run_federated(cfg, ds_train, ds_test, spec, grid, test_tensors=None):
         if cfg.target_accuracy is not None and acc > cfg.target_accuracy:
             break
 
-    return theta, bn_state, logs
+    return theta, bn_state, logs, probs
 
 
 def rounds_to_accuracy(logs, threshold):

@@ -15,6 +15,13 @@ state small enough to ship around in a federated setting.
 In eval mode batch norm reads the running statistics, a fixed per-channel
 affine map, so forward folds it into each conv's weights and bias and runs
 the conv followed by PReLU.
+
+The train step keeps batch norm as its own pass, since the backward needs
+its normalized activations. PReLU runs without np.where in both
+directions: max(x, s*x) (min above a slope of 1) forward, and the slope
+product overwritten with the incoming gradient where x > 0 backward. Each
+conv weight gradient is a batch of per-sample GEMMs summed over the batch,
+which BLAS runs several times faster than one long-inner-dimension product.
 """
 
 import json
@@ -342,7 +349,11 @@ def _conv_backward(dout, cols, w, conv, in_shape, need_dx=True):
     n_out, bsz, out_h, out_w = dout.shape
     dmat = dout.reshape(n_out, -1)
     db = dmat.sum(axis=1)
-    dw = (dmat @ cols.T).reshape(w.shape)
+    # dw as B per-sample GEMMs summed over the batch: OpenBLAS runs the
+    # single (O, B*oh*ow) @ (B*oh*ow, K) product of the wide layers 3-4x
+    # slower than the same FLOPs split per sample
+    dw = np.matmul(dout.reshape(n_out, bsz, -1).transpose(1, 0, 2),
+                   cols.reshape(-1, bsz, out_h * out_w).transpose(1, 2, 0)).sum(axis=0).reshape(w.shape)
     if not need_dx:  # first layer: nothing upstream consumes the input grad
         return dw, db, None
     dcols = w.reshape(n_out, -1).T @ dmat
@@ -358,6 +369,15 @@ def _conv_backward(dout, cols, w, conv, in_shape, need_dx=True):
             dxp[:, :, u : u + s * out_h : s, v : v + s * out_w : s] += dcols[:, u, v]
     dx = dxp[:, :, p : p + h, p : p + wd] if p else dxp
     return dw, db, dx
+
+
+def _prelu(x, slope, out):
+    """PReLU of (C, B, H, W) activations into out, one channel block at a
+    time: max(x, s*x) for a slope s <= 1 and min(x, s*x) above. Both are
+    exact, and about twice as fast as a masked multiply or np.where."""
+    for c, s in enumerate(slope):
+        (np.maximum if s <= 1 else np.minimum)(x[c], s * x[c], out=out[c])
+    return out
 
 
 def _softmax(logits):
@@ -408,11 +428,7 @@ def forward(spec, theta, bn_state, batch, mode="eval", update_stats=True):
             scale = gamma * inv
             b_fold = (b - bn_state.means[k].astype(dtype)) * scale + beta
             x, _ = _conv_forward(x, w * scale[:, None, None, None], b_fold, conv)
-            # PReLU in place, one channel block at a time: it is max(x, s*x)
-            # for a slope s <= 1 and min(x, s*x) above, both exact, and about
-            # twice as fast as a masked multiply
-            for c, s in enumerate(slope):
-                (np.maximum if s <= 1 else np.minimum)(x[c], s * x[c], out=x[c])
+            x = _prelu(x, slope, out=x)
             continue
 
         in_shape = x.shape
@@ -435,7 +451,7 @@ def forward(spec, theta, bn_state, batch, mode="eval", update_stats=True):
         bn_out = gamma[:, None, None, None] * xhat
         bn_out += beta[:, None, None, None]
 
-        x = np.where(bn_out > 0, bn_out, slope[:, None, None, None] * bn_out)
+        x = _prelu(bn_out, slope, out=np.empty_like(bn_out))  # bn_out stays cached
         cache["convs"].append(
             {"conv": conv, "in_shape": in_shape, "cols": cols,
              "inv": inv, "xhat": xhat, "bn_out": bn_out}
@@ -517,14 +533,19 @@ def loss_and_grad(spec, theta, bn_state, batch, labels, update_stats=True):
         gamma = layout.view(theta, f"bn{k}.scale")
         slope = layout.view(theta, f"prelu{k}.slope")
 
-        # PReLU: d/dslope = x on the negative side, so min(x, 0) selects it
+        # PReLU: d/dslope = x on the negative side, so min(x, 0) selects it;
+        # d/dx is the slope there and 1 where x > 0. dbn is made C-ordered
+        # (dx may be a transposed view), which fixes the order of every
+        # reduction below
         bn_out = c["bn_out"]
         neg_part = np.minimum(bn_out, 0)
         layout.view(grad, f"prelu{k}.slope")[...] = np.einsum("cbij,cbij->c", dx, neg_part)
-        dbn = dx * np.where(bn_out > 0, 1.0, slope[:, None, None, None])
+        dbn = np.multiply(dx, slope[:, None, None, None], order="C")
+        np.copyto(dbn, dx, where=bn_out > 0)
 
         # batch-norm backward through the batch statistics, in terms of xhat
-        # (zc = xhat/inv); dxhat = gamma*dbn, so its sums reuse dbn's sums
+        # (zc = xhat/inv); dxhat = gamma*dbn, so its sums reuse dbn's sums.
+        # dmu has no dvar term: it carries sum(zc), which is 0 exactly
         xhat, inv = c["xhat"], c["inv"]
         sum_dbn = dbn.sum(axis=(1, 2, 3))
         sum_dbn_xhat = np.einsum("cbij,cbij->c", dbn, xhat)
@@ -532,10 +553,9 @@ def loss_and_grad(spec, theta, bn_state, batch, labels, update_stats=True):
         layout.view(grad, f"bn{k}.shift")[...] = sum_dbn
         m = xhat.shape[1] * xhat.shape[2] * xhat.shape[3]
         dvar = -0.5 * inv**2 * (gamma * sum_dbn_xhat)
-        sum_zc = xhat.sum(axis=(1, 2, 3)) / inv
-        dmu = -inv * (gamma * sum_dbn) + dvar * (-2.0 / m) * sum_zc
+        dmu = -inv * (gamma * sum_dbn)
         dbn *= (gamma * inv)[:, None, None, None]
-        dbn += ((2.0 / m) * dvar / inv)[:, None, None, None] * xhat
+        dbn += np.multiply(((2.0 / m) * dvar / inv)[:, None, None, None], xhat, out=neg_part)
         dbn += (dmu / m)[:, None, None, None]
         dz = dbn  # accumulated in place
 

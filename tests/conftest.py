@@ -6,8 +6,10 @@ import pytest
 from fedbeam.dataset import SynthConfig, generate_synthetic
 from fedbeam.nn import (
     BN_EPS,
+    BN_MOMENTUM,
     ArchitectureSpec,
     ConvSpec,
+    _conv_backward,
     _conv_forward,
     build_layout,
     count_params,
@@ -146,6 +148,118 @@ def forward_eval_unfolded(spec, theta, bn_state, batch):
     logits = h @ layout.view(theta, "linear2.weight").T + layout.view(theta, "linear2.bias")
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
+
+
+def forward_train_reference(spec, theta, bn_state, batch, update_stats=True):
+    """Train-mode forward with np.where PReLU: the oracle for the where-free
+    train path of nn.forward, bit for bit. Returns (probs, cache), the cache
+    holding what loss_and_grad_reference reads."""
+    layout = build_layout(spec)
+    dtype = theta.dtype
+    x = np.asarray(batch).astype(dtype, copy=False).transpose(1, 0, 2, 3)
+    convs = []
+    for k, conv in enumerate(spec.convs):
+        in_shape = x.shape
+        z, cols = _conv_forward(x, layout.view(theta, f"conv{k}.weight"),
+                                layout.view(theta, f"conv{k}.bias"), conv)
+        m = z.shape[1] * z.shape[2] * z.shape[3]
+        mu = z.mean(axis=(1, 2, 3))
+        z -= mu[:, None, None, None]
+        var = np.einsum("cbij,cbij->c", z, z) / m
+        if update_stats:
+            bn_state.means[k] = (BN_MOMENTUM * bn_state.means[k] + (1 - BN_MOMENTUM) * mu).astype(
+                bn_state.means[k].dtype)
+            bn_state.variances[k] = (BN_MOMENTUM * bn_state.variances[k] + (1 - BN_MOMENTUM) * var).astype(
+                bn_state.variances[k].dtype)
+        inv = 1.0 / np.sqrt(var + BN_EPS)
+        z *= inv[:, None, None, None]
+        bn_out = layout.view(theta, f"bn{k}.scale")[:, None, None, None] * z
+        bn_out += layout.view(theta, f"bn{k}.shift")[:, None, None, None]
+        x = np.where(bn_out > 0, bn_out, layout.view(theta, f"prelu{k}.slope")[:, None, None, None] * bn_out)
+        convs.append({"conv": conv, "in_shape": in_shape, "cols": cols, "inv": inv, "xhat": z, "bn_out": bn_out})
+    flat = x.transpose(1, 0, 2, 3).reshape(x.shape[1], -1)
+    cache = {"convs": convs, "flat_in": flat, "conv_out_shape": x.shape}
+    h = flat
+    if spec.hidden is not None:
+        cache["linear1_pre"] = h @ layout.view(theta, "linear1.weight").T + layout.view(theta, "linear1.bias")
+        h = np.maximum(cache["linear1_pre"], 0)
+    cache["head_in"] = h
+    logits = h @ layout.view(theta, "linear2.weight").T + layout.view(theta, "linear2.bias")
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True), cache
+
+
+def loss_and_grad_reference(spec, theta, bn_state, batch, labels, update_stats=True):
+    """nn.loss_and_grad with the backward it had before the train step was
+    sped up: np.where PReLU, one (O, B*oh*ow) @ (B*oh*ow, K) GEMM for each
+    conv weight gradient, and the batch-norm mean gradient with its
+    dvar * sum(z - mu) term, which is 0 in exact arithmetic."""
+    layout = build_layout(spec)
+    labels = np.asarray(labels, dtype=np.int64)
+    probs, cache = forward_train_reference(spec, theta, bn_state, batch, update_stats)
+    n = len(labels)
+    loss = float(-np.mean(np.log(np.maximum(probs[np.arange(n), labels], np.finfo(probs.dtype).tiny))))
+    grad = np.zeros_like(theta)
+    dlogits = probs.copy()
+    dlogits[np.arange(n), labels] -= 1.0
+    dlogits /= n
+    h = cache["head_in"]
+    layout.view(grad, "linear2.weight")[...] = dlogits.T @ h
+    layout.view(grad, "linear2.bias")[...] = dlogits.sum(axis=0)
+    dflat = dlogits @ layout.view(theta, "linear2.weight")
+    if spec.hidden is not None:
+        dpre = dflat * (cache["linear1_pre"] > 0)
+        layout.view(grad, "linear1.weight")[...] = dpre.T @ cache["flat_in"]
+        layout.view(grad, "linear1.bias")[...] = dpre.sum(axis=0)
+        dflat = dpre @ layout.view(theta, "linear1.weight")
+    c_out, b_out, h_out, w_out = cache["conv_out_shape"]
+    dx = dflat.reshape(b_out, c_out, h_out, w_out).transpose(1, 0, 2, 3)
+    for k in range(len(spec.convs) - 1, -1, -1):
+        c = cache["convs"][k]
+        conv = c["conv"]
+        gamma = layout.view(theta, f"bn{k}.scale")
+        slope = layout.view(theta, f"prelu{k}.slope")
+        bn_out = c["bn_out"]
+        layout.view(grad, f"prelu{k}.slope")[...] = np.einsum("cbij,cbij->c", dx, np.minimum(bn_out, 0))
+        dbn = dx * np.where(bn_out > 0, 1.0, slope[:, None, None, None])
+        xhat, inv = c["xhat"], c["inv"]
+        sum_dbn = dbn.sum(axis=(1, 2, 3))
+        sum_dbn_xhat = np.einsum("cbij,cbij->c", dbn, xhat)
+        layout.view(grad, f"bn{k}.scale")[...] = sum_dbn_xhat
+        layout.view(grad, f"bn{k}.shift")[...] = sum_dbn
+        m = xhat.shape[1] * xhat.shape[2] * xhat.shape[3]
+        dvar = -0.5 * inv**2 * (gamma * sum_dbn_xhat)
+        sum_zc = xhat.sum(axis=(1, 2, 3)) / inv
+        dmu = -inv * (gamma * sum_dbn) + dvar * (-2.0 / m) * sum_zc
+        dbn *= (gamma * inv)[:, None, None, None]
+        dbn += ((2.0 / m) * dvar / inv)[:, None, None, None] * xhat
+        dbn += (dmu / m)[:, None, None, None]
+
+        # the bias and input gradients of _conv_backward are unchanged
+        w = layout.view(theta, f"conv{k}.weight")
+        _, db, dx = _conv_backward(dbn, c["cols"], w, conv, c["in_shape"], need_dx=k > 0)
+        layout.view(grad, f"conv{k}.weight")[...] = (dbn.reshape(w.shape[0], -1) @ c["cols"].T).reshape(w.shape)
+        layout.view(grad, f"conv{k}.bias")[...] = db
+    return loss, grad
+
+
+def conv_backward_naive(dout, x, w, conv):
+    """(dw, db, dx) of a (C, B, H, W) convolution, one output position at a
+    time: the oracle for nn._conv_backward."""
+    c, bsz, h, wd = x.shape
+    p, s = conv.padding, conv.stride
+    kh, kw = conv.kernel
+    xp = np.zeros((c, bsz, h + 2 * p, wd + 2 * p))
+    xp[:, :, p : p + h, p : p + wd] = x
+    dw = np.zeros(w.shape)
+    dxp = np.zeros(xp.shape)
+    for i in range(dout.shape[2]):
+        for j in range(dout.shape[3]):
+            window = (slice(None), slice(None), slice(i * s, i * s + kh), slice(j * s, j * s + kw))
+            dw += np.einsum("ob,cbuv->ocuv", dout[:, :, i, j], xp[window])
+            dxp[window] += np.einsum("ocuv,ob->cbuv", w, dout[:, :, i, j])
+    return dw, dout.sum(axis=(1, 2, 3)), dxp[:, :, p : p + h, p : p + wd]
 
 
 def micro_world(n_train=60, n_test=16, obstacles=2):

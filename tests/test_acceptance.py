@@ -199,7 +199,7 @@ class TestOverheadBookkeeping:
         n_params = count_params(spec)
         cfg = FedConfig(vehicles=vehicles, local_epochs=1, max_rounds=rounds,
                         batch_size=2, accuracy_top_k=2)
-        _, _, logs = run_federated(cfg, train, test, spec, grid)
+        _, _, logs, _ = run_federated(cfg, train, test, spec, grid)
         assert len(logs) == rounds
         for n, entry in enumerate(logs, start=1):
             assert entry.o_dl == n * n_params
@@ -231,7 +231,7 @@ class TestFederatedGap:
         cfg = FedConfig(vehicles=5, local_epochs=1, max_rounds=40, batch_size=16,
                         partition_seed=41, init_seed=42, shuffle_seed=43,
                         accuracy_top_k=5)
-        _, _, logs = run_federated(cfg, synthetic_train, synthetic_test,
+        _, _, logs, _ = run_federated(cfg, synthetic_train, synthetic_test,
                                    benchmark_spec, default_grid())
         fed_top5 = logs[-1].topk_accuracy
         # directional reading: federated may not degrade more than 10 points

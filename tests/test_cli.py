@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from fedbeam import fedavg
+from fedbeam import evaluation, fedavg
 from fedbeam.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from fedbeam.dataset import Dataset, Sample, export_exchange, load_dataset
 from fedbeam.evaluation import CentralTrainConfig, evaluate, train_centralized
@@ -150,6 +150,32 @@ class TestTrain:
         assert main(["train", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
         assert len(calls) == 40 * train_passes + 12
 
+    def test_federated_final_model_forwarded_once(self, tmp_path, monkeypatch):
+        # the last round's eval hands its probabilities to the final report,
+        # which still equals `fedbeam eval` of the checkpoint on the test file
+        calls = []
+        for module in (fedavg, evaluation):
+            monkeypatch.setattr(module, "predict_proba",
+                                lambda *a, predict=module.predict_proba: calls.append(a) or predict(*a))
+        cfg = micro_config(mode="federated")
+        data = tmp_path / "data"
+        data.mkdir()
+        assert main(["synth", "--config", write_config(tmp_path, cfg), "--out", str(data)]) == EXIT_OK
+        cfg["dataset"] = {"train_file": str(data / "train.fbds"), "test_file": str(data / "test.fbds")}
+        cfg_path = write_config(tmp_path, cfg, "files.json")
+        out, eval_out = tmp_path / "out", tmp_path / "eval_out"
+        out.mkdir()
+        eval_out.mkdir()
+        assert main(["train", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+        assert len(calls) == cfg["federated"]["max_rounds"]
+        assert main(["eval", "--checkpoint", str(out / "model.fbnn"), "--dataset", str(data / "test.fbds"),
+                     "--config", cfg_path, "--k-max", str(cfg["k_max"]), "--out", str(eval_out)]) == EXIT_OK
+        train_report = json.loads((out / "report.json").read_text())
+        eval_report = json.loads((eval_out / "report.json").read_text())
+        assert train_report.pop("seeds") and not eval_report.pop("seeds")
+        assert train_report == eval_report
+        assert (out / "sweep.csv").read_bytes() == (eval_out / "sweep.csv").read_bytes()
+
     def test_central_n_runs_confidence_intervals(self, tmp_path):
         cfg = micro_config(n_runs=3)
         cfg_path = write_config(tmp_path, cfg)
@@ -222,6 +248,15 @@ class TestTrain:
         ("architecture.input_shape", [math.inf, 30], "architecture"),  # was a raw OverflowError
         ("architecture.hidden", 2.5, "architecture"),
         ("architecture.n_classes", True, "architecture"),
+        ("federated.lr_decay", "x", "federated"),  # was a raw TypeError
+        ("federated.lr_decay", -0.5, "federated"),
+        ("federated.server_lr", float("nan"), "federated"),  # trained, then exit 4
+        ("federated.local_lr", math.inf, "federated"),
+        ("federated.local_lr", True, "federated"),
+        ("central.lr", float("nan"), "central"),  # trained, then exit 4
+        ("central.lr", "0.1", "central"),
+        ("central.lr_drop_factor", "x", "central"),  # was accepted
+        ("central.lr_drop_factor", 0, "central"),
     ])
     def test_mistyped_field_exit_2(self, tmp_path, capsys, path, value, field):
         bad = micro_config()

@@ -131,7 +131,7 @@ class TestDegenerateEquivalence:
             np.testing.assert_allclose(theta_fed, per_round_ref[r], atol=1e-6,
                                        err_msg=f"trajectories diverged at round {r + 1}")
 
-        theta_run, _, logs = run_federated(cfg, train, test, spec, grid)
+        theta_run, _, logs, _ = run_federated(cfg, train, test, spec, grid)
         np.testing.assert_allclose(theta_run, theta_ref, atol=1e-6)
         assert len(logs) == cfg.max_rounds
 
@@ -159,8 +159,8 @@ class TestRunFederated:
         _, grid, spec, train, test = micro_world(n_train=30, n_test=8)
         cfg = FedConfig(vehicles=3, local_epochs=1, max_rounds=3, batch_size=8,
                         partition_seed=1, init_seed=2, shuffle_seed=3, accuracy_top_k=2)
-        t1, _, logs1 = run_federated(cfg, train, test, spec, grid)
-        t2, _, logs2 = run_federated(cfg, train, test, spec, grid)
+        t1, _, logs1, _ = run_federated(cfg, train, test, spec, grid)
+        t2, _, logs2, _ = run_federated(cfg, train, test, spec, grid)
         np.testing.assert_array_equal(t1, t2)
         for a, b in zip(logs1, logs2):
             assert (a.round_index, a.top1_accuracy, a.topk_accuracy, a.throughput_ratio,
@@ -179,7 +179,7 @@ class TestRunFederated:
         for vehicles, rounds in ((3, 4), (5, 2)):
             cfg = FedConfig(vehicles=vehicles, local_epochs=1, max_rounds=rounds,
                             batch_size=8, accuracy_top_k=2)
-            _, _, logs = run_federated(cfg, train, test, spec, grid)
+            _, _, logs, _ = run_federated(cfg, train, test, spec, grid)
             assert logs[-1].o_dl == rounds * n_params
             assert logs[-1].o_ul == vehicles * rounds * n_params
             for n, entry in enumerate(logs, start=1):
@@ -190,7 +190,7 @@ class TestRunFederated:
         _, grid, spec, train, test = micro_world(n_train=30, n_test=8)
         cfg = FedConfig(vehicles=2, local_epochs=1, max_rounds=10, batch_size=8,
                         target_accuracy=0.0, accuracy_top_k=spec.n_classes)
-        _, _, logs = run_federated(cfg, train, test, spec, grid)
+        _, _, logs, _ = run_federated(cfg, train, test, spec, grid)
         assert len(logs) == 1  # top-(all classes) accuracy 1.0 > 0.0 after round 1
 
     def test_missing_powers_marks_ratio_unavailable(self, tmp_path):
@@ -201,7 +201,7 @@ class TestRunFederated:
                             label=s.label, powers=None) for s in test.samples],
         )
         cfg = FedConfig(vehicles=2, local_epochs=1, max_rounds=1, batch_size=8)
-        _, _, logs = run_federated(cfg, train, stripped, spec, grid)
+        _, _, logs, _ = run_federated(cfg, train, stripped, spec, grid)
         assert logs[0].throughput_ratio is None
         path = tmp_path / "rounds.csv"
         write_round_csv(logs, path)

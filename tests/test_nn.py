@@ -2,7 +2,16 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from conftest import draw_gradient_check_case, forward_eval_unfolded, random_micro_spec
+from conftest import (
+    conv_backward_naive,
+    draw_gradient_check_case,
+    forward_eval_unfolded,
+    forward_train_reference,
+    loss_and_grad_reference,
+    random_micro_spec,
+)
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fedbeam.errors import FormatError, IntegrityError, NumericError
 from fedbeam.nn import (
@@ -11,6 +20,8 @@ from fedbeam.nn import (
     ArchitectureSpec,
     BatchNormState,
     ConvSpec,
+    _conv_backward,
+    _conv_forward,
     adam_step,
     build_layout,
     count_flops,
@@ -343,6 +354,82 @@ class TestGradient:
             fd = (loss_at(up) - loss_at(down)) / (2 * h)
             denom = max(abs(analytic[i]), abs(fd), 1e-6)
             assert abs(analytic[i] - fd) / denom < 1e-4
+
+
+def segment_gaps(spec, grad, oracle):
+    """{segment: |grad - oracle| / |oracle|}. A conv bias feeds batch norm,
+    so its exact gradient is 0 and both sides hold only rounding: its gap is
+    taken against the norm of the whole oracle gradient instead."""
+    layout = build_layout(spec)
+    whole = np.linalg.norm(oracle)
+    gaps = {}
+    for name, _, _ in layout.entries:
+        diff = np.linalg.norm(layout.view(grad, name) - layout.view(oracle, name))
+        noise_only = name.startswith("conv") and name.endswith(".bias")
+        gaps[name] = diff / (whole if noise_only else np.linalg.norm(layout.view(oracle, name)))
+    return gaps
+
+
+class TestTrainStep:
+    """The train step against conftest's reference: the forward with
+    np.where PReLU bit for bit, and the backward with one weight-gradient
+    GEMM per conv and the sum(z - mu) term up to summation order."""
+
+    SPECS = {
+        "default": default_architecture(n_classes=64),
+        "micro": ArchitectureSpec((6, 7), (ConvSpec(1, 3, (3, 3), 1, 1), ConvSpec(3, 4, (2, 3), 2, 0)), 5, 5),
+    }
+
+    def case(self, arch, dtype, seed=21):
+        spec = self.SPECS[arch]
+        theta, bn, rng = trained_bn_case(spec, seed, dtype)  # slopes over [-0.5, 1.5]
+        x = rng.integers(-2, 2, (16, 1, *spec.input_shape)).astype(np.float32)
+        return spec, theta, bn, x, rng.integers(0, spec.n_classes, 16)
+
+    @pytest.mark.parametrize("arch", ["default", "micro"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_forward_bit_equal(self, arch, dtype):
+        spec, theta, bn, x, _ = self.case(arch, dtype)
+        bn_ref = bn.copy()
+        probs, cache = forward(spec, theta, bn, x, mode="train")
+        probs_ref, cache_ref = forward_train_reference(spec, theta, bn_ref, x)
+        np.testing.assert_array_equal(probs, probs_ref)
+        np.testing.assert_array_equal(bn.stat_vector(), bn_ref.stat_vector())
+        for c, c_ref in zip(cache["convs"], cache_ref["convs"]):
+            for key in ("inv", "xhat", "bn_out"):
+                np.testing.assert_array_equal(c[key], c_ref[key])
+
+    @pytest.mark.parametrize("arch", ["default", "micro"])
+    @pytest.mark.parametrize("dtype, bound", [(np.float64, 1e-10), (np.float32, 1e-4)])
+    def test_gradient_matches_reference(self, arch, dtype, bound):
+        spec, theta, bn, x, labels = self.case(arch, dtype)
+        bn_ref = bn.copy()
+        loss, grad = loss_and_grad(spec, theta, bn, x, labels)
+        loss_ref, grad_ref = loss_and_grad_reference(spec, theta, bn_ref, x, labels)
+        assert grad.dtype == dtype
+        assert loss == loss_ref
+        np.testing.assert_array_equal(bn.stat_vector(), bn_ref.stat_vector())
+        gaps = segment_gaps(spec, grad, grad_ref)
+        assert max(gaps.values()) <= bound, gaps
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=st.integers(1, 3), o=st.integers(1, 3), b=st.integers(1, 3), kh=st.integers(1, 3),
+           kw=st.integers(1, 3), stride=st.integers(1, 2), padding=st.integers(0, 2),
+           h=st.integers(1, 7), w=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+    def test_conv_backward_matches_loop(self, c, o, b, kh, kw, stride, padding, h, w, seed):
+        assume(h + 2 * padding >= kh and w + 2 * padding >= kw)
+        conv = ConvSpec(c, o, (kh, kw), stride, padding)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((c, b, h, w))
+        weight = rng.standard_normal((o, c, kh, kw))
+        out, cols = _conv_forward(x, weight, np.zeros(o), conv)
+        dout = rng.standard_normal(out.shape)
+        dw, db, dx = _conv_backward(dout, cols, weight, conv, x.shape)
+        dw_ref, db_ref, dx_ref = conv_backward_naive(dout, x, weight, conv)
+        np.testing.assert_allclose(dw, dw_ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(db, db_ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dx, dx_ref, rtol=1e-12, atol=1e-12)
+        assert _conv_backward(dout, cols, weight, conv, x.shape, need_dx=False)[2] is None
 
 
 class TestOptimizers:
