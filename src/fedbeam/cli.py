@@ -1,17 +1,19 @@
 """Experiment runner: synth, train, eval and flops subcommands.
 
-Configuration is a single versioned JSON document. Every subcommand
-validates its inputs before writing any file, and two invocations with the
-same config and seeds emit identical artifacts (rounds.csv wall-time column
-aside). Exit codes: 0 success, 2 config error, 3 data error, 4 numeric
-divergence.
+Configuration is a single versioned JSON document, parsed once into the
+objects the commands run on. Every subcommand validates its inputs before
+writing any file, and two invocations with the same config and seeds emit
+identical artifacts (rounds.csv wall-time column aside). Exit codes: 0
+success, 2 config error, 3 data error, 4 numeric divergence.
 """
 
 import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .dataset import (
     load_dataset,
     save_dataset,
 )
-from .errors import FedBeamError, NumericError
+from .errors import FedBeamError, NumericError, require_int
 from .evaluation import (
     REFERENCE_RESULTS,
     CentralTrainConfig,
@@ -46,11 +48,20 @@ class ConfigError(Exception):
     """Invalid experiment config; message starts with the offending field path."""
 
 
+class DataSource(NamedTuple):
+    """The dataset key (synthetic, train_file or train_ingest) and the loader
+    arguments of each set: SynthConfig and count, path, or directory and spec."""
+
+    kind: str
+    train: tuple
+    test: tuple
+
+
 @dataclass
 class ExperimentConfig:
-    dataset: dict
+    dataset: DataSource
     grid: GridConfig
-    architecture: dict | str
+    architecture: nn.ArchitectureSpec | None  # None: the default, sized by grid and data
     mode: str
     central: CentralTrainConfig
     federated: FedConfig
@@ -65,13 +76,14 @@ def _require(cond, path, message):
         raise ConfigError(f"{path}: {message}")
 
 
-def _int(value, path, minimum=None):
+@contextmanager
+def _field(path):
+    """Turn a ValueError, TypeError or KeyError raised while building the
+    value at path into a ConfigError that names path."""
     try:
-        n = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: must be an integer, got {value!r}") from None
-    _require(minimum is None or n >= minimum, path, f"must be >= {minimum}")
-    return n
+        yield
+    except (TypeError, KeyError, ValueError) as e:
+        raise ConfigError(f"{path}: {e}") from e
 
 
 def _object(raw, key):
@@ -85,14 +97,40 @@ def _path(value, path, test=os.path.exists, problem="path does not exist"):
     _require(test(value), path, f"{problem}: {value}")
 
 
-def _build_synth(synth):
-    """SynthConfig from the dataset.synthetic object, lists as tuples."""
-    kwargs = {k: tuple(v) if isinstance(v, list) else v
-              for k, v in synth.items() if k not in ("n_train", "n_test")}
-    try:
-        return SynthConfig(**kwargs)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"dataset.synthetic: {e}") from e
+def _parse_dataset(ds):
+    """DataSource of the dataset section, its files checked to exist."""
+    _require(isinstance(ds, dict), "dataset", "must be an object")
+    sources = [k for k in ("synthetic", "train_file", "train_ingest") if k in ds]
+    _require(len(sources) == 1,
+             "dataset", f"exactly one of synthetic/train_file/train_ingest required, got {sources}")
+    kind = sources[0]
+    if kind == "synthetic":
+        synth = ds["synthetic"]
+        _require(isinstance(synth, dict), "dataset.synthetic", "must be an object")
+        _require("n_train" in synth, "dataset.synthetic.n_train", "required")
+        counts = synth["n_train"], synth.get("n_test", 0)
+        for name, n in zip(("n_train", "n_test"), counts):
+            with _field(f"dataset.synthetic.{name}"):
+                require_int(name, n, 0)
+        with _field("dataset.synthetic"):  # JSON lists become tuples
+            config = SynthConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                    for k, v in synth.items() if k not in ("n_train", "n_test")})
+        return DataSource(kind, (config, counts[0]), (config, counts[1]))
+    pair = []
+    for key in (kind, kind.replace("train", "test")):
+        _require(key in ds, f"dataset.{key}", f"required with {kind} source")
+        entry = ds[key]
+        if kind == "train_file":
+            _path(entry, f"dataset.{key}")
+            pair.append((entry,))
+            continue
+        _require(isinstance(entry, dict) and "directory" in entry,
+                 f"dataset.{key}", "must be an object with a 'directory'")
+        _path(entry["directory"], f"dataset.{key}.directory", os.path.isdir, "not a directory")
+        if "spec" in entry:
+            _path(entry["spec"], f"dataset.{key}.spec")
+        pair.append((entry["directory"], entry.get("spec")))
+    return DataSource(kind, *pair)
 
 
 def load_experiment_config(path, seed_override=None):
@@ -108,72 +146,38 @@ def load_experiment_config(path, seed_override=None):
     _require(isinstance(raw, dict), "config", "top level must be an object")
     _require(raw.get("version") == CONFIG_VERSION,
              "version", f"must be {CONFIG_VERSION}, got {raw.get('version')!r}")
-
-    ds = raw.get("dataset")
-    _require(isinstance(ds, dict), "dataset", "must be an object")
-    sources = [k for k in ("synthetic", "train_file", "train_ingest") if k in ds]
-    _require(len(sources) == 1,
-             "dataset", f"exactly one of synthetic/train_file/train_ingest required, got {sources}")
-    if "synthetic" in ds:
-        synth = ds["synthetic"]
-        _require(isinstance(synth, dict), "dataset.synthetic", "must be an object")
-        _require("n_train" in synth, "dataset.synthetic.n_train", "required")
-        _int(synth["n_train"], "dataset.synthetic.n_train", 0)
-        _int(synth.get("n_test", 0), "dataset.synthetic.n_test", 0)
-        _build_synth(synth)
-    if "train_file" in ds:
-        for key in ("train_file", "test_file"):
-            _require(key in ds, f"dataset.{key}", "required with train_file source")
-            _path(ds[key], f"dataset.{key}")
-    if "train_ingest" in ds:
-        for key in ("train_ingest", "test_ingest"):
-            _require(key in ds, f"dataset.{key}", "required with train_ingest source")
-            entry = ds[key]
-            _require(isinstance(entry, dict) and "directory" in entry,
-                     f"dataset.{key}", "must be an object with a 'directory'")
-            _path(entry["directory"], f"dataset.{key}.directory", os.path.isdir, "not a directory")
-            if "spec" in entry:
-                _path(entry["spec"], f"dataset.{key}.spec")
+    dataset = _parse_dataset(raw.get("dataset"))
 
     grid_raw = raw.get("grid", "default")
-    if grid_raw == "default":
-        grid = default_grid()
-    else:
-        try:
-            grid = GridConfig.from_dict(grid_raw)
-        except (TypeError, KeyError, ValueError) as e:
-            raise ConfigError(f"grid: {e}") from e
-
+    with _field("grid"):
+        grid = default_grid() if grid_raw == "default" else GridConfig.from_dict(grid_raw)
     arch = raw.get("architecture", "default")
-    if arch != "default":
-        try:
-            nn.ArchitectureSpec.from_dict(arch)
-        except (TypeError, KeyError, ValueError) as e:
-            raise ConfigError(f"architecture: {e}") from e
+    with _field("architecture"):
+        spec = None if arch == "default" else nn.ArchitectureSpec.from_dict(arch)
 
     mode = raw.get("mode", "central")
     _require(mode in ("central", "federated"), "mode", f"must be central or federated, got {mode!r}")
 
-    seed = _int(raw.get("seed", 0), "seed") if seed_override is None else int(seed_override)
+    seed = raw.get("seed", 0) if seed_override is None else seed_override
+    with _field("seed"):
+        require_int("seed", seed, 0)
 
     central_raw = _object(raw, "central")
     central_raw.setdefault("seed", seed)
-    try:
+    with _field("central"):
         central = CentralTrainConfig(**central_raw)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"central: {e}") from e
 
     fed_raw = _object(raw, "federated")
     fed_raw.setdefault("partition_seed", seed + 10)
     fed_raw.setdefault("init_seed", seed + 11)
     fed_raw.setdefault("shuffle_seed", seed + 12)
-    try:
+    with _field("federated"):
         federated = FedConfig(**fed_raw)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"federated: {e}") from e
 
-    k_max = _int(raw.get("k_max", 10), "k_max", 1)
-    n_runs = _int(raw.get("n_runs", 1), "n_runs", 1)
+    k_max, n_runs = raw.get("k_max", 10), raw.get("n_runs", 1)
+    for name, value in (("k_max", k_max), ("n_runs", n_runs)):
+        with _field(name):
+            require_int(name, value, 1)
     _require(not (n_runs > 1 and mode == "federated"),
              "n_runs", "multi-run confidence intervals are central-mode only")
     output_dir = raw.get("output_dir")
@@ -181,50 +185,38 @@ def load_experiment_config(path, seed_override=None):
              "output_dir", f"must be a path string, got {output_dir!r}")
 
     return ExperimentConfig(
-        dataset=ds, grid=grid, architecture=arch, mode=mode, central=central,
+        dataset=dataset, grid=grid, architecture=spec, mode=mode, central=central,
         federated=federated, k_max=k_max, n_runs=n_runs, seed=seed,
         output_dir=output_dir,
     )
 
 
-def _resolve_out(cfg_out, flag_out, needed=True):
+def _resolve_out(cfg_out, flag_out):
     out = flag_out or cfg_out
-    if needed and not out:
-        raise ConfigError("output_dir: required (set in config or pass --out)")
-    if out and not os.path.isdir(out):
-        raise ConfigError(f"output_dir: no such directory: {out}")
+    _require(out, "output_dir", "required (set in config or pass --out)")
+    _require(os.path.isdir(out), "output_dir", f"no such directory: {out}")
     return out
 
 
 def _load_datasets(cfg):
-    ds = cfg.dataset
-    if "synthetic" in ds:
-        synth = _build_synth(ds["synthetic"])
-        try:
-            train = generate_synthetic(synth, int(ds["synthetic"]["n_train"]), seed=cfg.seed)
-            test = generate_synthetic(synth, int(ds["synthetic"].get("n_test", 0)), seed=cfg.seed + 1)
-        except ValueError as e:
-            raise ConfigError(f"dataset.synthetic: {e}") from e
-        return train, test
-    if "train_file" in ds:
-        return load_dataset(ds["train_file"]), load_dataset(ds["test_file"])
-    train = ingest_external(ds["train_ingest"]["directory"], ds["train_ingest"].get("spec"))
-    test = ingest_external(ds["test_ingest"]["directory"], ds["test_ingest"].get("spec"))
-    return train, test
+    kind, train, test = cfg.dataset
+    if kind == "synthetic":
+        with _field("dataset.synthetic"):
+            return (generate_synthetic(*train, seed=cfg.seed),
+                    generate_synthetic(*test, seed=cfg.seed + 1))
+    if kind == "train_file":
+        return load_dataset(*train), load_dataset(*test)
+    return ingest_external(*train), ingest_external(*test)
 
 
 def _resolve_spec(cfg, n_classes):
-    if cfg.architecture == "default":
+    spec = cfg.architecture
+    if spec is None:
         return nn.default_architecture(input_shape=cfg.grid.shape, n_classes=n_classes)
-    spec = nn.ArchitectureSpec.from_dict(cfg.architecture)
-    if spec.input_shape != cfg.grid.shape:
-        raise ConfigError(
-            f"architecture.input_shape: {spec.input_shape} does not match grid {cfg.grid.shape}"
-        )
-    if spec.n_classes != n_classes:
-        raise ConfigError(
-            f"architecture.n_classes: {spec.n_classes} does not match dataset beam pairs {n_classes}"
-        )
+    _require(spec.input_shape == cfg.grid.shape, "architecture.input_shape",
+             f"{spec.input_shape} does not match grid {cfg.grid.shape}")
+    _require(spec.n_classes == n_classes, "architecture.n_classes",
+             f"{spec.n_classes} does not match dataset beam pairs {n_classes}")
     return spec
 
 
@@ -238,7 +230,7 @@ def _label_entropy_bits(ds):
 
 def cmd_synth(args):
     cfg = load_experiment_config(args.config, args.seed)
-    _require("synthetic" in cfg.dataset, "dataset", "synth needs a synthetic dataset source")
+    _require(cfg.dataset.kind == "synthetic", "dataset", "synth needs a synthetic dataset source")
     out = _resolve_out(cfg.output_dir, args.out)
     train, test = _load_datasets(cfg)
     train_path = os.path.join(out, "train.fbds")
@@ -327,10 +319,10 @@ def _grid_for(meta, spec):
 
 
 def cmd_eval(args):
-    if not os.path.exists(args.checkpoint):
-        raise ConfigError(f"checkpoint: path does not exist: {args.checkpoint}")
-    if not os.path.exists(args.dataset):
-        raise ConfigError(f"dataset: path does not exist: {args.dataset}")
+    with _field("k_max"):
+        require_int("k_max", args.k_max, 1)
+    _path(args.checkpoint, "checkpoint")
+    _path(args.dataset, "dataset")
     out = _resolve_out(None, args.out)
     spec, theta, bn_state = nn.load_checkpoint(args.checkpoint)
     ds = load_dataset(args.dataset)

@@ -21,7 +21,7 @@ import logging
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -550,12 +550,19 @@ class IngestSpec:
     powers: str | None = "powers.npy"
     labels: str | None = "labels.npy"
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (isinstance(value, str) or (value is None and f.name in ("powers", "labels"))):
+                raise IngestError(f"ingest spec {f.name} must be a file pattern string, got {value!r}")
+
     @classmethod
     def from_json(cls, path):
         with open(path) as f:
             d = json.load(f)
-        kwargs = {k: d[k] for k in ("meta", "cloud", "vehicle_pos", "bs_pos", "powers", "labels") if k in d}
-        return cls(**kwargs)
+        if not isinstance(d, dict):
+            raise IngestError(f"ingest spec {path} must hold a JSON object")
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
     def to_json(self, path):
         with open(path, "w") as f:
@@ -577,6 +584,16 @@ def _load_meta_json(path):
         )
     except ValueError as e:
         raise IngestError(f"meta file {path}: {e}") from e
+
+
+def _load_array(path, name, kinds="iuf"):
+    """np.load of one exchange array; IngestError unless it is an array whose
+    dtype kind is in kinds (integers and floats by default)."""
+    arr = np.load(path)
+    if not isinstance(arr, np.ndarray) or arr.dtype.kind not in kinds:
+        expected = "integers" if kinds == "iu" else "real numbers"
+        raise IngestError(f"{name} must hold {expected}, got {getattr(arr, 'dtype', type(arr).__name__)}")
+    return arr
 
 
 def ingest_external(directory, spec=None):
@@ -608,8 +625,8 @@ def ingest_external(directory, spec=None):
         raise IngestError(f"missing required arrays: {', '.join(missing)}")
 
     meta = _load_meta_json(meta_path)
-    vehicle = np.load(path_of(spec.vehicle_pos))
-    bs = np.load(path_of(spec.bs_pos))
+    vehicle = _load_array(path_of(spec.vehicle_pos), "vehicle_pos")
+    bs = _load_array(path_of(spec.bs_pos), "bs_pos")
     n = len(cloud_files)
     if vehicle.shape not in ((n, 3),):
         raise IngestError(f"vehicle_pos has shape {vehicle.shape}, expected ({n}, 3)")
@@ -620,12 +637,12 @@ def ingest_external(directory, spec=None):
 
     powers = None
     if spec.powers and os.path.exists(path_of(spec.powers)):
-        powers = np.load(path_of(spec.powers))
+        powers = _load_array(path_of(spec.powers), "powers")
         if powers.shape != (n, meta.n_pairs):
             raise IngestError(f"powers has shape {powers.shape}, expected ({n}, {meta.n_pairs})")
     labels = None
     if spec.labels and os.path.exists(path_of(spec.labels)):
-        labels = np.load(path_of(spec.labels))
+        labels = _load_array(path_of(spec.labels), "labels", "iu")
         if labels.shape != (n,):
             raise IngestError(f"labels has shape {labels.shape}, expected ({n},)")
     if powers is None and labels is None:
@@ -649,7 +666,7 @@ def ingest_external(directory, spec=None):
             continue
         samples.append(
             Sample(
-                cloud=np.load(cloud_file),
+                cloud=_load_array(cloud_file, os.path.basename(cloud_file)),
                 vehicle_pos=vehicle[k],
                 bs_pos=bs[k],
                 label=label,

@@ -386,14 +386,14 @@ def _softmax(logits):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def forward(spec, theta, bn_state, batch, mode="eval", update_stats=True):
+def forward(spec, theta, bn_state, batch, mode="eval"):
     """Class probabilities for a batch of shape (B, 1, H, W).
 
-    Train mode normalizes with batch statistics (needs B >= 2) and, unless
-    update_stats is False, folds them into the running statistics; it also
-    returns the cache needed by the backward pass. Eval mode uses the
-    running statistics, folded into the conv weights on every call, and is
-    a pure function of (theta, bn_state, batch).
+    Train mode normalizes with batch statistics (needs B >= 2) and folds
+    them into the running statistics; it also returns the cache needed by
+    the backward pass. Eval mode uses the running statistics, folded into
+    the conv weights on every call, and is a pure function of (theta,
+    bn_state, batch).
     """
     if spec.n_classes is None:
         raise ValueError("spec has no output layer (n_classes is None)")
@@ -438,13 +438,12 @@ def forward(spec, theta, bn_state, batch, mode="eval", update_stats=True):
         mu = z.mean(axis=(1, 2, 3))
         z -= mu[:, None, None, None]
         var = np.einsum("cbij,cbij->c", z, z) / m
-        if update_stats:
-            bn_state.means[k] = (BN_MOMENTUM * bn_state.means[k] + (1 - BN_MOMENTUM) * mu).astype(
-                bn_state.means[k].dtype
-            )
-            bn_state.variances[k] = (BN_MOMENTUM * bn_state.variances[k] + (1 - BN_MOMENTUM) * var).astype(
-                bn_state.variances[k].dtype
-            )
+        bn_state.means[k] = (BN_MOMENTUM * bn_state.means[k] + (1 - BN_MOMENTUM) * mu).astype(
+            bn_state.means[k].dtype
+        )
+        bn_state.variances[k] = (BN_MOMENTUM * bn_state.variances[k] + (1 - BN_MOMENTUM) * var).astype(
+            bn_state.variances[k].dtype
+        )
         inv = 1.0 / np.sqrt(var + BN_EPS)
         z *= inv[:, None, None, None]
         xhat = z  # normalized activations; z is consumed in place
@@ -481,7 +480,7 @@ def forward(spec, theta, bn_state, batch, mode="eval", update_stats=True):
     return probs
 
 
-def loss_and_grad(spec, theta, bn_state, batch, labels, update_stats=True):
+def loss_and_grad(spec, theta, bn_state, batch, labels):
     """Mean cross-entropy over the batch and its exact gradient in theta.
 
     The backward pass differentiates through the batch-norm batch statistics
@@ -498,7 +497,7 @@ def loss_and_grad(spec, theta, bn_state, batch, labels, update_stats=True):
         bad = labels[(labels < 0) | (labels >= spec.n_classes)][0]
         raise ValueError(f"label {bad} out of range [0, {spec.n_classes})")
 
-    probs, cache = forward(spec, theta, bn_state, batch, mode="train", update_stats=update_stats)
+    probs, cache = forward(spec, theta, bn_state, batch, mode="train")
     layout = cache["layout"]
     n = batch.shape[0]
     eps_floor = np.finfo(probs.dtype).tiny

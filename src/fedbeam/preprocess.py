@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import is_finite_real, require_int
+
 __all__ = ["GridConfig", "lidar_to_grid", "default_grid"]
 
 log = logging.getLogger(__name__)
@@ -36,10 +38,13 @@ class GridConfig:
     cells_y: int
 
     def __post_init__(self):
+        for name in ("x_min", "x_max", "y_min", "y_max"):
+            if not is_finite_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        require_int("cells_x", self.cells_x, 1)
+        require_int("cells_y", self.cells_y, 1)
         if self.x_max <= self.x_min or self.y_max <= self.y_min:
             raise ValueError("grid box is degenerate")
-        if self.cells_x < 1 or self.cells_y < 1:
-            raise ValueError("need at least one cell per axis")
         if abs(self.dx - self.dy) > 1e-9:
             raise ValueError(
                 f"cells must be square: dx={self.dx!r} differs from dy={self.dy!r}"

@@ -320,7 +320,7 @@ def draw_gradient_check_case(seed, max_inv=5.0):
         _, bn = init_params(spec, seed=seed)
         batch = rng.standard_normal((4, 1, *spec.input_shape))
         labels = rng.integers(0, spec.n_classes, size=4)
-        _, cache = forward(spec, theta, bn.copy(), batch, mode="train", update_stats=False)
+        _, cache = forward(spec, theta, bn.copy(), batch, mode="train")
         if all(float(c["inv"].max()) <= max_inv for c in cache["convs"]):
             return spec, theta, bn, batch, labels
 

@@ -81,12 +81,10 @@ class TestGradientOracle:
         for seed in range(5):
             spec, theta, bn, batch, labels = draw_gradient_check_case(500 + seed)
             n = len(labels)
-            _, analytic = loss_and_grad(spec, theta, bn.copy(), batch, labels,
-                                        update_stats=False)
+            _, analytic = loss_and_grad(spec, theta, bn.copy(), batch, labels)
 
             def loss_at(t):
-                probs, _ = forward(spec, t, bn.copy(), batch, mode="train",
-                                   update_stats=False)
+                probs, _ = forward(spec, t, bn.copy(), batch, mode="train")
                 return float(-np.mean(np.log(probs[np.arange(n), labels])))
 
             numeric = np.zeros_like(theta)

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedbeam import evaluation, fedavg
 from fedbeam.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
@@ -19,6 +24,7 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 GOLDEN_FBDS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "synth_no_obstacles.fbds")
 T975_2 = 4.302652729749462  # t_{0.975, 2} from SciPy 1.17.1
 CONV = {"in_channels": 1, "out_channels": 1, "kernel": [1, 1], "stride": 1, "padding": 0}
+INT_FIELDS = ["seed", "k_max", "n_runs", "dataset.synthetic.n_train", "dataset.synthetic.n_test"]
 
 
 def micro_config(mode="central", n_train=40, n_test=12, **extra):
@@ -257,6 +263,17 @@ class TestTrain:
         ("central.lr", "0.1", "central"),
         ("central.lr_drop_factor", "x", "central"),  # was accepted
         ("central.lr_drop_factor", 0, "central"),
+        ("grid.cells_x", 6.0, "grid"),  # was accepted (train: exit 3 from the input_shape)
+        ("grid.cells_x", True, "grid"),  # was accepted
+        ("grid.x_min", float("nan"), "grid"),  # was exit 3 from rasterization
+        ("dataset.synthetic.n_train", 4.7, "dataset.synthetic.n_train"),  # wrote 4 scenes
+        ("dataset.synthetic.n_train", True, "dataset.synthetic.n_train"),
+        ("dataset.synthetic.n_train", "4", "dataset.synthetic.n_train"),
+        ("seed", "3", "seed"),  # was read as 3
+        ("seed", 2.9, "seed"),
+        ("k_max", True, "k_max"),
+        ("k_max", 10.9, "k_max"),
+        ("n_runs", 1.9, "n_runs"),
     ])
     def test_mistyped_field_exit_2(self, tmp_path, capsys, path, value, field):
         bad = micro_config()
@@ -270,6 +287,42 @@ class TestTrain:
         out.mkdir()
         assert main(["synth", "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
+        assert list(out.iterdir()) == []
+
+    # magnitudes stay small, so a field that wrongly accepts a value only
+    # generates a few scenes before the test fails
+    @settings(max_examples=60, deadline=None)
+    @given(path=st.sampled_from(INT_FIELDS), value=st.one_of(
+        st.floats(-50, 50), st.sampled_from([math.nan, math.inf, -math.inf]), st.booleans(),
+        st.integers(-2**70, -1), st.none(), st.integers(-50, 50).map(str),
+        st.floats(-50, 50).map(str), st.lists(st.integers(0, 9), max_size=2)))
+    def test_integer_field_rejects_non_integer(self, path, value):
+        """Each integer field takes only a JSON integer at or above its
+        minimum, and names itself when it gets anything else."""
+        bad = micro_config()
+        *parents, key = path.split(".")
+        node = bad
+        for name in parents:
+            node = node[name]
+        node[key] = value
+        with tempfile.TemporaryDirectory() as d:
+            cfg_path = os.path.join(d, "config.json")
+            with open(cfg_path, "w") as f:
+                json.dump(bad, f)
+            out = os.path.join(d, "out")
+            os.mkdir(out)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main(["synth", "--config", cfg_path, "--out", out]) == EXIT_CONFIG
+            assert err.getvalue().startswith(f"error: {path}: ")
+            assert os.listdir(out) == []
+
+    def test_negative_seed_flag_names_seed(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["synth", "--config", write_config(tmp_path, micro_config()),
+                     "--out", str(out), "--seed", "-1"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: seed: ")  # was "central: seed"
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("key, value", [
@@ -385,6 +438,16 @@ class TestEval:
                   "--dataset", str(out / "test.fbds"), "--out", str(out), "--workers", "2"])
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k_max", ["0", "-3"])
+    def test_k_max_below_one_exit_2_before_reading(self, tmp_path, capsys, k_max):
+        # unreadable files: reaching either would exit 3 (was exit 3 after the forward pass)
+        (tmp_path / "model.fbnn").write_bytes(b"garbage")
+        (tmp_path / "test.fbds").write_bytes(b"garbage")
+        assert main(["eval", "--checkpoint", str(tmp_path / "model.fbnn"),
+                     "--dataset", str(tmp_path / "test.fbds"), "--k-max", k_max,
+                     "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: k_max: ")
 
     def test_wrong_checkpoint_path_exit_2(self, tmp_path):
         cfg_path, out = self._train(tmp_path)

@@ -402,6 +402,28 @@ class TestIngest:
         with pytest.raises(IngestError, match="JSON object"):
             ingest_external(d)
 
+    @pytest.mark.parametrize("text", [
+        '{"cloud": 5}',  # was a raw TypeError from os.path.join
+        '{"powers": ["powers.npy"]}',
+        '["meta.json"]',  # was read as the default spec
+    ])
+    def test_malformed_ingest_json_rejected(self, tmp_path, text):
+        d = tmp_path / "exch"
+        export_exchange(load_dataset(os.path.join(GOLDEN_DIR, "synth_no_obstacles.fbds")), d)
+        (d / "ingest.json").write_text(text)
+        with pytest.raises(IngestError, match="ingest spec"):
+            ingest_external(d, d / "ingest.json")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("powers", np.array([["a", "b", "c", "d"]]), "powers must hold real numbers"),  # was a raw TypeError
+        ("labels", np.array([2.5]), "labels must hold integers"),  # was truncated to label 2
+    ])
+    def test_mistyped_array_rejected(self, tmp_path, key, value, message):
+        d = str(tmp_path / "x")
+        self._write_minimal(d, 1, 4, **{key: value})
+        with pytest.raises(IngestError, match=message):
+            ingest_external(d)
+
 
 # Golden files written by the per-box geometry code before the one-pass clip
 # replaced it; regenerating each must reproduce it byte for byte. Never remake

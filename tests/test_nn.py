@@ -50,7 +50,7 @@ def numeric_gradient(spec, theta, bn_state, batch, labels, h=1e-5):
     n = len(labels)
 
     def loss_at(t):
-        probs, _ = forward(spec, t, bn_state.copy(), batch, mode="train", update_stats=False)
+        probs, _ = forward(spec, t, bn_state.copy(), batch, mode="train")
         return float(-np.mean(np.log(probs[np.arange(n), labels])))
 
     grad = np.zeros_like(theta)
@@ -317,7 +317,7 @@ class TestGradient:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_matches_finite_differences(self, seed):
         spec, theta, bn, batch, labels = draw_gradient_check_case(100 + seed)
-        _, analytic = loss_and_grad(spec, theta, bn.copy(), batch, labels, update_stats=False)
+        _, analytic = loss_and_grad(spec, theta, bn.copy(), batch, labels)
         numeric = numeric_gradient(spec, theta, bn, batch, labels)
         # floor the denominator above the ~1e-11 finite-difference noise:
         # conv biases feeding batch norm have exactly zero gradient
@@ -339,10 +339,10 @@ class TestGradient:
         _, bn = init_params(spec, seed=0)
         batch = rng.standard_normal((4, 1, 6, 10))
         labels = rng.integers(0, 4, size=4)
-        _, analytic = loss_and_grad(spec, theta, bn.copy(), batch, labels, update_stats=False)
+        _, analytic = loss_and_grad(spec, theta, bn.copy(), batch, labels)
 
         def loss_at(t):
-            probs, _ = forward(spec, t, bn.copy(), batch, mode="train", update_stats=False)
+            probs, _ = forward(spec, t, bn.copy(), batch, mode="train")
             return float(-np.mean(np.log(probs[np.arange(4), labels])))
 
         coords = rng.choice(theta.shape[0], size=60, replace=False)

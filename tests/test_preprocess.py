@@ -28,6 +28,20 @@ class TestGridConfig:
         with pytest.raises(ValueError):
             GridConfig(x_min=0, x_max=0, y_min=0, y_max=10, cells_x=1, cells_y=10)
 
+    @pytest.mark.parametrize("field, value", [
+        ("cells_x", 20.0),  # was accepted, then failed as a model input_shape
+        ("cells_x", True),
+        ("cells_y", 200.0),
+        ("x_min", math.nan),  # was accepted, then failed on every vehicle position
+        ("y_max", math.inf),
+        ("x_max", "10"),  # was a raw TypeError
+    ])
+    def test_mistyped_field_rejected(self, field, value):
+        kwargs = dict(x_min=0.0, x_max=10.0, y_min=0.0, y_max=100.0, cells_x=20, cells_y=200)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            GridConfig(**kwargs)
+
     def test_default_grid_shape(self):
         g = default_grid()
         assert g.shape == (20, 200)
