@@ -160,7 +160,8 @@ def load_experiment_config(path, seed_override=None):
 
     seed = raw.get("seed", 0) if seed_override is None else seed_override
     with _field("seed"):
-        require_int("seed", seed, 0)
+        # the test set is generated with seed + 1, stored as a u64
+        require_int("seed", seed, 0, 0xFFFFFFFFFFFFFFFF - 1)
 
     central_raw = _object(raw, "central")
     central_raw.setdefault("seed", seed)

@@ -21,9 +21,18 @@ Batch-norm running statistics ride along with the broadcast model and are
 combined by unweighted averaging across clients, as the deltas are.
 partition_uniform sizes differ by up to one sample, and neither average
 weights a client by its local dataset size.
+
+The vehicles' local rounds run side by side, as do the eval-mode forward
+batches, on one thread per CPU in the process's affinity mask (`taskset`
+restricts them). The results do not depend on that count: each vehicle
+has its own RNG stream, the deltas are summed in vehicle order, and every
+eval batch writes its own rows. The centralized Adam steps stay
+sequential, since each one depends on the previous one.
 """
 
 import csv
+import os
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -123,6 +132,78 @@ def preprocess_dataset(ds, grid):
     return inputs, ds.labels()
 
 
+def _cpu_count():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _on_all_cpus(fn, items):
+    """[fn(item) for item in items], run by the calling thread and one
+    worker thread per further CPU in the affinity mask, each taking the
+    next untaken item. Returns the results in item order and re-raises the
+    first exception in item order; no worker outlives the call.
+
+    Items are taken in order and a failure stops the taking, so every item
+    before a failed one has run: the exception raised is the one a plain
+    loop would raise.
+    """
+    items = list(items)
+    results = [None] * len(items)
+    errors = [None] * len(items)
+    lock = threading.Lock()
+    taken, stop = 0, False
+
+    def lane():
+        nonlocal taken, stop
+        while True:
+            with lock:
+                i = taken
+                if stop or i == len(items):
+                    return
+                taken += 1
+            try:
+                results[i] = fn(items[i])
+            except BaseException as e:
+                errors[i] = e
+                stop = True
+
+    workers = [threading.Thread(target=lane) for _ in range(min(_cpu_count(), len(items)) - 1)]
+    for t in workers:
+        t.start()
+    try:
+        lane()
+    finally:
+        stop = True  # the caller's lane is done: take no more items
+        for t in workers:
+            t.join()
+        _wait_exited(workers)
+    for e in errors:
+        if e is not None:
+            raise e
+    return results
+
+
+def _wait_exited(threads):
+    """Wait until the OS threads of joined threads are gone as well.
+
+    Thread.join returns once a thread's Python side is done, a moment
+    before its OS thread runs its exit handlers, and glibc hands a thread's
+    malloc arena back for reuse only in those handlers. A worker started in
+    that moment gets a new arena, and every arena keeps its own freed
+    buffers, so the process would grow by a lane's working set each time
+    the timing fell that way. Linux lists a live thread under
+    /proc/self/task; where there is no such directory, this returns at once.
+    An exit takes microseconds; the one-second limit only guards the loop.
+    """
+    deadline = time.monotonic() + 1.0
+    for t in threads:
+        task = f"/proc/self/task/{t.native_id}"
+        while os.path.exists(task) and time.monotonic() < deadline:
+            time.sleep(0)
+
+
 def _epoch_batches(order, batch_size):
     for start in range(0, len(order), batch_size):
         yield order[start : start + batch_size]
@@ -176,10 +257,14 @@ def _evaluate_round(spec, theta, bn_state, test_inputs, test_labels, test_powers
 
 
 def predict_proba(spec, theta, bn_state, inputs):
-    """Eval-mode class probabilities over a whole dataset, in sample order."""
+    """Eval-mode class probabilities over a whole dataset, in sample order;
+    the EVAL_BATCH slices run on every CPU, each into its own rows."""
     probs = np.empty((len(inputs), spec.n_classes), dtype=theta.dtype)
-    for s in range(0, len(inputs), EVAL_BATCH):
+
+    def fill(s):
         probs[s : s + EVAL_BATCH] = nn.forward(spec, theta, bn_state, inputs[s : s + EVAL_BATCH], mode="eval")
+
+    _on_all_cpus(fill, range(0, len(inputs), EVAL_BATCH))
     return probs
 
 
@@ -192,9 +277,10 @@ def run_federated(cfg, ds_train, ds_test, spec, grid, test_tensors=None):
     matrix over the test set, from the last round's eval.
     test_tensors, when given, is preprocess_dataset(ds_test, grid) made by
     the caller, so a test set rasterized once can serve later evals too.
-    Deterministic for fixed config and seeds; clients own disjoint RNG
-    streams, so any scheduling/parallelization of the local rounds would
-    produce the same deltas.
+    Deterministic for fixed config and seeds: clients own disjoint RNG
+    streams, so running the local rounds side by side on every CPU gives
+    the deltas of a sequential run, and a failing vehicle raises what the
+    sequential run would (the lowest vehicle id's error).
     """
     if len(ds_test) == 0:
         raise ValueError("test dataset is empty")
@@ -214,10 +300,9 @@ def run_federated(cfg, ds_train, ds_test, spec, grid, test_tensors=None):
 
     for round_index in range(1, cfg.max_rounds + 1):
         t0 = time.perf_counter()
-        deltas = [
-            local_round(c, theta, bn_state, spec, train_inputs, train_labels, cfg)
-            for c in clients
-        ]
+        deltas = _on_all_cpus(
+            lambda c: local_round(c, theta, bn_state, spec, train_inputs, train_labels, cfg), clients
+        )
         theta = aggregate(theta, deltas, cfg.server_lr)
         if not np.all(np.isfinite(theta)):
             raise NumericError(f"non-finite parameters after aggregation round {round_index}")

@@ -14,14 +14,26 @@ state small enough to ship around in a federated setting.
 
 In eval mode batch norm reads the running statistics, a fixed per-channel
 affine map, so forward folds it into each conv's weights and bias and runs
-the conv followed by PReLU.
+the conv followed by PReLU. The eval conv keeps no column matrix, so it
+builds one for at most _EVAL_COL_SAMPLES samples at a time and applies
+PReLU straight into the next conv's padded input: a large batch then holds
+two activations at a time, not column matrices nine times their size.
 
 The train step keeps batch norm as its own pass, since the backward needs
 its normalized activations. PReLU runs without np.where in both
 directions: max(x, s*x) (min above a slope of 1) forward, and the slope
-product overwritten with the incoming gradient where x > 0 backward. Each
-conv weight gradient is a batch of per-sample GEMMs summed over the batch,
-which BLAS runs several times faster than one long-inner-dimension product.
+product overwritten with the incoming gradient where x > 0 backward.
+
+Every conv GEMM (output, weight gradient, input gradient) runs once per
+sample. At the default architecture each product is at most 5x45x1000,
+under OpenBLAS's threading cutoff (M*N*K <= 262144), so it runs in the
+calling thread: fedavg runs vehicles and eval batches on every CPU, and
+those threads would otherwise queue on one BLAS pool. The weight gradient
+is also several times faster this way than as one long-inner-dimension
+product. A step keeps its memory small, since each such thread holds its
+own freed buffers: PReLU writes straight into the next conv's padded
+input, conv0's column matrix is rebuilt in the backward from the batch,
+and each layer's cache is dropped once the backward has used it.
 """
 
 import json
@@ -60,6 +72,7 @@ PRELU_INIT = 0.25
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+_EVAL_COL_SAMPLES = 16  # samples per column matrix in the eval conv
 
 
 @dataclass(frozen=True)
@@ -315,34 +328,61 @@ def init_params(spec, seed):
 # Forward / backward primitives
 
 
-def _conv_forward(x, w, b, conv):
-    """im2col convolution in channels-first layout.
+def _padded(c, bsz, h, w, p, dtype):
+    """A zeroed (C, B, H+2p, W+2p) buffer and its (C, B, H, W) interior."""
+    xp = np.zeros((c, bsz, h + 2 * p, w + 2 * p), dtype=dtype)
+    return xp, xp[:, :, p : p + h, p : p + w]
 
-    Activations travel as (C, B, H, W): the column matrix (C*kh*kw, B*oh*ow)
-    then fills with one plain block copy per kernel offset and the matmul
-    output (O, B*oh*ow) reshapes to the next layer's layout without a
-    transpose. Returns (out, cols).
-    """
-    c, bsz, h, wd = x.shape
-    p = conv.padding
+
+def _im2col(xp, conv):
+    """Column matrix (C*kh*kw, B*oh*ow) of zero-padded (C, B, H+2p, W+2p)
+    activations, filled with one plain block copy per kernel offset, and
+    the output (oh, ow)."""
+    c, bsz, hp, wp = xp.shape
     s = conv.stride
     kh, kw = conv.kernel
-    n_out = w.shape[0]
-    out_h = (h + 2 * p - kh) // s + 1
-    out_w = (wd + 2 * p - kw) // s + 1
-    if p:
-        xp = np.zeros((c, bsz, h + 2 * p, wd + 2 * p), dtype=x.dtype)
-        xp[:, :, p : p + h, p : p + wd] = x
-    else:
-        xp = x
-    cols = np.empty((c, kh, kw, bsz, out_h, out_w), dtype=x.dtype)
+    out_h = (hp - kh) // s + 1
+    out_w = (wp - kw) // s + 1
+    cols = np.empty((c, kh, kw, bsz, out_h, out_w), dtype=xp.dtype)
     for u in range(kh):
         for v in range(kw):
             cols[:, u, v] = xp[:, :, u : u + s * out_h : s, v : v + s * out_w : s]
-    cols = cols.reshape(c * kh * kw, bsz * out_h * out_w)
-    out = w.reshape(n_out, -1) @ cols
-    out += b[:, None]
+    return cols.reshape(c * kh * kw, bsz * out_h * out_w), (out_h, out_w)
+
+
+def _conv_forward(xp, w, b, conv):
+    """im2col convolution in channels-first layout, of (C, B, H, W)
+    activations zero-padded by conv.padding on each side.
+
+    Activations travel as (C, B, H, W), so the GEMM output (O, B*oh*ow)
+    is the next layer's layout without a transpose. The GEMM runs per
+    sample: each product stays under OpenBLAS's threading cutoff and runs
+    in the calling thread. Returns (out, cols).
+    """
+    bsz = xp.shape[1]
+    cols, (out_h, out_w) = _im2col(xp, conv)
+    n_out = w.shape[0]
+    out = np.empty((n_out, bsz, out_h * out_w), dtype=xp.dtype)
+    np.matmul(w.reshape(n_out, -1), cols.reshape(-1, bsz, out_h * out_w).transpose(1, 0, 2),
+              out=out.transpose(1, 0, 2))
+    out += b[:, None, None]
     return out.reshape(n_out, bsz, out_h, out_w), cols
+
+
+def _conv_prelu_eval(xp, w, b, slope, conv, out):
+    """PReLU of _conv_forward's output, written into out (O, B, oh, ow),
+    with the column matrix built for at most _EVAL_COL_SAMPLES samples at
+    a time. Every sample's GEMM is the one _conv_forward runs, so the
+    result is the same to the bit.
+
+    At B=256 conv1's whole column matrix is 46 MB, and a separate conv0
+    output would be 20 MB. glibc serves a block that size from its heap
+    when earlier work left that much free there and from a fresh mapping
+    otherwise, so the process's peak memory would turn on what ran before.
+    """
+    g = _EVAL_COL_SAMPLES
+    for s in range(0, xp.shape[1], g):
+        _prelu(_conv_forward(xp[:, s : s + g], w, b, conv)[0], slope, out=out[:, s : s + g])
 
 
 def _conv_backward(dout, cols, w, conv, in_shape, need_dx=True):
@@ -356,18 +396,16 @@ def _conv_backward(dout, cols, w, conv, in_shape, need_dx=True):
                    cols.reshape(-1, bsz, out_h * out_w).transpose(1, 2, 0)).sum(axis=0).reshape(w.shape)
     if not need_dx:  # first layer: nothing upstream consumes the input grad
         return dw, db, None
-    dcols = w.reshape(n_out, -1).T @ dmat
-
     c, _, h, wd = in_shape
-    p = conv.padding
     s = conv.stride
     kh, kw = conv.kernel
-    dcols = dcols.reshape(c, kh, kw, bsz, out_h, out_w)
-    dxp = np.zeros((c, bsz, h + 2 * p, wd + 2 * p), dtype=dout.dtype)
+    dcols = np.empty((c, kh, kw, bsz, out_h, out_w), dtype=dout.dtype)
+    np.matmul(w.reshape(n_out, -1).T, dout.reshape(n_out, bsz, -1).transpose(1, 0, 2),
+              out=dcols.reshape(-1, bsz, out_h * out_w).transpose(1, 0, 2))
+    dxp, dx = _padded(c, bsz, h, wd, conv.padding, dout.dtype)
     for u in range(kh):
         for v in range(kw):
             dxp[:, :, u : u + s * out_h : s, v : v + s * out_w : s] += dcols[:, u, v]
-    dx = dxp[:, :, p : p + h, p : p + wd] if p else dxp
     return dw, db, dx
 
 
@@ -410,9 +448,14 @@ def forward(spec, theta, bn_state, batch, mode="eval"):
     if theta.shape != (layout.total,):
         raise ValueError(f"theta has {theta.shape[0]} entries, spec needs {layout.total}")
     dtype = theta.dtype
-    # channels-first internal layout: (C, B, H, W)
-    x = batch.astype(dtype, copy=False).transpose(1, 0, 2, 3)
-    cache = {"layout": layout, "convs": [], "mode": mode}
+    # channels-first internal layout: (C, B, H, W). Each conv reads a zeroed
+    # buffer padded for it (xp), and the layer before it writes straight
+    # into the buffer's interior (x)
+    pads = [conv.padding for conv in spec.convs] + [0]
+    shapes = spec.feature_shapes()
+    xp, x = _padded(1, batch.shape[0], *spec.input_shape, pads[0], dtype)
+    x[...] = batch.transpose(1, 0, 2, 3)
+    cache = {"layout": layout, "convs": []}
 
     for k, conv in enumerate(spec.convs):
         w = layout.view(theta, f"conv{k}.weight")
@@ -427,12 +470,21 @@ def forward(spec, theta, bn_state, batch, mode="eval"):
             inv = 1.0 / np.sqrt(bn_state.variances[k].astype(dtype) + BN_EPS)
             scale = gamma * inv
             b_fold = (b - bn_state.means[k].astype(dtype)) * scale + beta
-            x, _ = _conv_forward(x, w * scale[:, None, None, None], b_fold, conv)
-            x = _prelu(x, slope, out=x)
+            c_out, h_out, w_out = shapes[k + 1]
+            xp_out, x = _padded(c_out, x.shape[1], h_out, w_out, pads[k + 1], dtype)
+            _conv_prelu_eval(xp, w * scale[:, None, None, None], b_fold, slope, conv, out=x)
+            xp = xp_out
             continue
 
-        in_shape = x.shape
-        z, cols = _conv_forward(x, w, b, conv)
+        entry = {"conv": conv, "in_shape": x.shape}
+        z, cols = _conv_forward(xp, w, b, conv)
+        # conv0's cols are kh*kw shifted copies of the one-channel batch, so
+        # the backward rebuilds them from it rather than hold them all step
+        if k:
+            entry["cols"] = cols
+        else:
+            entry["xp"] = xp
+        del cols
 
         m = z.shape[1] * z.shape[2] * z.shape[3]
         mu = z.mean(axis=(1, 2, 3))
@@ -450,11 +502,10 @@ def forward(spec, theta, bn_state, batch, mode="eval"):
         bn_out = gamma[:, None, None, None] * xhat
         bn_out += beta[:, None, None, None]
 
-        x = _prelu(bn_out, slope, out=np.empty_like(bn_out))  # bn_out stays cached
-        cache["convs"].append(
-            {"conv": conv, "in_shape": in_shape, "cols": cols,
-             "inv": inv, "xhat": xhat, "bn_out": bn_out}
-        )
+        xp, x = _padded(*bn_out.shape, pads[k + 1], dtype)
+        _prelu(bn_out, slope, out=x)  # bn_out stays cached
+        entry.update(inv=inv, xhat=xhat, bn_out=bn_out)
+        cache["convs"].append(entry)
 
     # flatten keeps (C, H, W) ordering per sample, matching the layout table
     flat = x.transpose(1, 0, 2, 3).reshape(x.shape[1], -1)
@@ -467,13 +518,11 @@ def forward(spec, theta, bn_state, batch, mode="eval"):
         pre = h @ w1.T + b1
         h = np.maximum(pre, 0)
         cache["linear1_pre"] = pre
-        cache["linear1_out"] = h
     w2 = layout.view(theta, "linear2.weight")
     b2 = layout.view(theta, "linear2.bias")
     logits = h @ w2.T + b2
     probs = _softmax(logits)
     cache["head_in"] = h
-    cache["probs"] = probs
 
     if mode == "train":
         return probs, cache
@@ -527,7 +576,7 @@ def loss_and_grad(spec, theta, bn_state, batch, labels):
     c_out, b_out, h_out, w_out = cache["conv_out_shape"]
     dx = dflat.reshape(b_out, c_out, h_out, w_out).transpose(1, 0, 2, 3)
     for k in range(len(spec.convs) - 1, -1, -1):
-        c = cache["convs"][k]
+        c = cache["convs"].pop()  # each layer's cache is freed once used
         conv = c["conv"]
         gamma = layout.view(theta, f"bn{k}.scale")
         slope = layout.view(theta, f"prelu{k}.slope")
@@ -559,7 +608,8 @@ def loss_and_grad(spec, theta, bn_state, batch, labels):
         dz = dbn  # accumulated in place
 
         w = layout.view(theta, f"conv{k}.weight")
-        dw, db, dx = _conv_backward(dz, c["cols"], w, conv, c["in_shape"], need_dx=k > 0)
+        cols = c["cols"] if k else _im2col(c["xp"], conv)[0]
+        dw, db, dx = _conv_backward(dz, cols, w, conv, c["in_shape"], need_dx=k > 0)
         layout.view(grad, f"conv{k}.weight")[...] = dw
         layout.view(grad, f"conv{k}.bias")[...] = db
 

@@ -125,6 +125,12 @@ def reflection_hits_naive(boxes, src, dst):
     return np.array(hits, dtype=np.float64).reshape(-1, 2)
 
 
+def pad(x, p):
+    """(C, B, H, W) activations zero-padded by p on each side, as
+    nn._conv_forward reads them."""
+    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+
+
 def forward_eval_unfolded(spec, theta, bn_state, batch):
     """Eval-mode forward with batch norm kept as its own pass after each
     conv (running statistics), then np.where PReLU: the oracle for the
@@ -134,7 +140,7 @@ def forward_eval_unfolded(spec, theta, bn_state, batch):
     dtype = theta.dtype
     x = np.asarray(batch).astype(dtype, copy=False).transpose(1, 0, 2, 3)
     for k, conv in enumerate(spec.convs):
-        z, _ = _conv_forward(x, layout.view(theta, f"conv{k}.weight"),
+        z, _ = _conv_forward(pad(x, conv.padding), layout.view(theta, f"conv{k}.weight"),
                              layout.view(theta, f"conv{k}.bias"), conv)
         z -= bn_state.means[k].astype(dtype)[:, None, None, None]
         z *= (1.0 / np.sqrt(bn_state.variances[k].astype(dtype) + BN_EPS))[:, None, None, None]
@@ -160,7 +166,7 @@ def forward_train_reference(spec, theta, bn_state, batch, update_stats=True):
     convs = []
     for k, conv in enumerate(spec.convs):
         in_shape = x.shape
-        z, cols = _conv_forward(x, layout.view(theta, f"conv{k}.weight"),
+        z, cols = _conv_forward(pad(x, conv.padding), layout.view(theta, f"conv{k}.weight"),
                                 layout.view(theta, f"conv{k}.bias"), conv)
         m = z.shape[1] * z.shape[2] * z.shape[3]
         mu = z.mean(axis=(1, 2, 3))
@@ -242,6 +248,22 @@ def loss_and_grad_reference(spec, theta, bn_state, batch, labels, update_stats=T
         layout.view(grad, f"conv{k}.weight")[...] = (dbn.reshape(w.shape[0], -1) @ c["cols"].T).reshape(w.shape)
         layout.view(grad, f"conv{k}.bias")[...] = db
     return loss, grad
+
+
+def conv_forward_naive(x, w, b, conv):
+    """(O, B, oh, ow) output of a (C, B, H, W) convolution, one output
+    position at a time: the oracle for nn._conv_forward."""
+    c, bsz, h, wd = x.shape
+    p, s = conv.padding, conv.stride
+    kh, kw = conv.kernel
+    xp = np.zeros((c, bsz, h + 2 * p, wd + 2 * p))
+    xp[:, :, p : p + h, p : p + wd] = x
+    out = np.empty((w.shape[0], bsz, (h + 2 * p - kh) // s + 1, (wd + 2 * p - kw) // s + 1))
+    for i in range(out.shape[2]):
+        for j in range(out.shape[3]):
+            window = xp[:, :, i * s : i * s + kh, j * s : j * s + kw]
+            out[:, :, i, j] = np.einsum("ocuv,cbuv->ob", w, window) + b[:, None]
+    return out
 
 
 def conv_backward_naive(dout, x, w, conv):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedbeam import evaluation, fedavg
+from fedbeam import cli, evaluation, fedavg
 from fedbeam.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from fedbeam.dataset import Dataset, Sample, export_exchange, load_dataset
 from fedbeam.evaluation import CentralTrainConfig, evaluate, train_centralized
@@ -325,6 +325,24 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error: seed: ")  # was "central: seed"
         assert list(out.iterdir()) == []
 
+    def test_seed_bound_leaves_room_for_test_seed(self, tmp_path, capsys, monkeypatch):
+        """The test set is generated with seed + 1, a u64 in .fbds: 2**64 - 1
+        exits 2 naming seed before any scene is generated (it generated the
+        whole train set, then named dataset.synthetic), and 2**64 - 2 runs."""
+        calls = []
+        generate = cli.generate_synthetic
+        monkeypatch.setattr(cli, "generate_synthetic", lambda *a, **k: calls.append(k) or generate(*a, **k))
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg_path = write_config(tmp_path, micro_config(seed=2**64 - 1))
+        assert main(["synth", "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: seed: ")
+        assert calls == [] and list(out.iterdir()) == []
+        cfg_path = write_config(tmp_path, micro_config(seed=2**64 - 2))
+        assert main(["synth", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+        assert calls == [{"seed": 2**64 - 2}, {"seed": 2**64 - 1}]
+        assert load_dataset(out / "test.fbds").meta.seed == 2**64 - 1
+
     @pytest.mark.parametrize("key, value", [
         ("max_retries", 0),  # was a raw RuntimeError from the retry loop
         ("obstacles", 2.5),  # was a raw TypeError from range()
@@ -482,6 +500,35 @@ class TestEval:
         bad.write_bytes(b"FBDSgarbage")
         assert main(["eval", "--checkpoint", str(out / "model.fbnn"),
                      "--dataset", str(bad), "--out", str(out)]) == EXIT_DATA
+
+
+def _rounds_without_wall(path):
+    return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+
+class TestCpuCount:
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+                        reason="needs at least 2 CPUs in the affinity mask")
+    def test_one_cpu_and_every_cpu_give_identical_artifacts(self, tmp_path):
+        """A federated run pinned to one CPU (its vehicles and eval batches
+        then run one after another) writes the same artifacts as one on
+        every CPU."""
+        cfg = micro_config(mode="federated", n_test=40)
+        cfg["federated"]["vehicles"] = 3
+        cfg_path = write_config(tmp_path, cfg)
+        one, every = tmp_path / "one", tmp_path / "every"
+        one.mkdir()
+        every.mkdir()
+        code = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+                "from fedbeam.cli import main; sys.exit(main(sys.argv[1:]))")
+        result = subprocess.run([sys.executable, "-c", code, "train", "--config", cfg_path, "--out", str(one)],
+                                env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+                                timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert main(["train", "--config", cfg_path, "--out", str(every)]) == EXIT_OK
+        for name in ("model.fbnn", "report.json", "sweep.csv"):
+            assert (one / name).read_bytes() == (every / name).read_bytes(), name
+        assert _rounds_without_wall(one / "rounds.csv") == _rounds_without_wall(every / "rounds.csv")
 
 
 class TestNumpyOnly:

@@ -1,12 +1,21 @@
+import math
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from conftest import micro_world
 
+from fedbeam import fedavg, nn
 from fedbeam.dataset import Dataset, Sample, partition_uniform
+from fedbeam.errors import NumericError
 from fedbeam.fedavg import (
     ClientState,
     FedConfig,
     RoundLog,
+    _on_all_cpus,
     aggregate,
     client_rngs,
     local_round,
@@ -206,6 +215,98 @@ class TestRunFederated:
         path = tmp_path / "rounds.csv"
         write_round_csv(logs, path)
         assert "NA" in path.read_text().splitlines()[1]
+
+
+class TestLanes:
+    def test_results_in_item_order(self):
+        before = threading.active_count()
+        assert _on_all_cpus(lambda i: i * i, range(11)) == [i * i for i in range(11)]
+        assert _on_all_cpus(lambda i: i, []) == []
+        assert threading.active_count() == before
+
+    def test_each_item_runs_once_under_contention(self, monkeypatch):
+        """More lanes than CPUs and a short switch interval: a lost update of
+        the shared item counter would run an item twice or skip one."""
+        monkeypatch.setattr(fedavg, "_cpu_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ran = []
+            results = _on_all_cpus(lambda i: ran.append(i) or -i, range(3000))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(ran) == list(range(3000))
+        assert results == [-i for i in range(3000)]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_first_failure_in_item_order(self, monkeypatch, cpus):
+        """Item 3 fails at once and item 1 later; item 1's error is raised,
+        as a plain loop would raise it. Items are taken in order, and the
+        taking stops after a failure."""
+        monkeypatch.setattr(fedavg, "_cpu_count", lambda: cpus)
+        started = []
+
+        def work(i):
+            started.append(i)
+            if i == 1:
+                time.sleep(0.2)
+                raise ValueError("item 1")
+            if i == 3:
+                raise ValueError("item 3")
+            return i
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="item 1"):
+            _on_all_cpus(work, range(40))
+        assert threading.active_count() == before
+        assert sorted(started) == list(range(len(started)))  # taken in order
+        assert len(started) < 40
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's task list")
+    def test_worker_os_threads_gone_on_return(self, monkeypatch):
+        """glibc hands a thread's malloc arena to the next new thread only
+        once the OS thread has exited. A call that returned before then
+        would let the next call's worker take a new arena, which keeps its
+        own freed buffers."""
+        monkeypatch.setattr(fedavg, "_cpu_count", lambda: 3)
+        before = sorted(os.listdir("/proc/self/task"))
+        for _ in range(1000):
+            _on_all_cpus(lambda i: sum(range(1000)), range(4))
+            assert sorted(os.listdir("/proc/self/task")) == before
+
+    def test_nan_loss_raises_lowest_vehicle(self, monkeypatch):
+        """Vehicles 1 and 3 diverge: the round raises vehicle 1's error
+        whichever lane hits its NaN first, and leaves no thread behind."""
+        _, grid, spec, train, test = micro_world(n_train=60, n_test=8)
+        loss_and_grad = nn.loss_and_grad
+
+        def diverging(*args):
+            loss, grad = loss_and_grad(*args)
+            vid = sys._getframe(1).f_locals["client"].vid  # the calling local_round's
+            return (math.nan if vid in (1, 3) else loss), grad
+
+        monkeypatch.setattr(nn, "loss_and_grad", diverging)
+        cfg = FedConfig(vehicles=5, max_rounds=1, batch_size=4, accuracy_top_k=2)
+        before = threading.active_count()
+        for _ in range(3):
+            with pytest.raises(NumericError, match="^vehicle 1: non-finite loss at local step 0$"):
+                run_federated(cfg, train, test, spec, grid)
+            assert threading.active_count() == before
+
+    def test_lane_count_does_not_change_results(self, monkeypatch):
+        _, grid, spec, train, test = micro_world(n_train=40, n_test=40)
+        cfg = FedConfig(vehicles=5, max_rounds=2, batch_size=4, accuracy_top_k=2)
+        runs = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(fedavg, "_cpu_count", lambda: cpus)
+            runs.append(run_federated(cfg, train, test, spec, grid))
+        (t1, bn1, logs1, p1), (t3, bn3, logs3, p3) = runs
+        np.testing.assert_array_equal(t1, t3)
+        np.testing.assert_array_equal(bn1.stat_vector(), bn3.stat_vector())
+        np.testing.assert_array_equal(p1, p3)
+        for a, b in zip(logs1, logs3):
+            assert (a.top1_accuracy, a.topk_accuracy, a.throughput_ratio) == (
+                b.top1_accuracy, b.topk_accuracy, b.throughput_ratio)
 
 
 class TestRoundsToAccuracy:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from conftest import (
     conv_backward_naive,
+    conv_forward_naive,
     draw_gradient_check_case,
     forward_eval_unfolded,
     forward_train_reference,
     loss_and_grad_reference,
+    pad,
     random_micro_spec,
 )
 from hypothesis import assume, given, settings
@@ -16,12 +18,16 @@ from hypothesis import strategies as st
 from fedbeam.errors import FormatError, IntegrityError, NumericError
 from fedbeam.nn import (
     BN_EPS,
+    _EVAL_COL_SAMPLES,
     AdamState,
     ArchitectureSpec,
     BatchNormState,
     ConvSpec,
     _conv_backward,
     _conv_forward,
+    _conv_prelu_eval,
+    _padded,
+    _prelu,
     adam_step,
     build_layout,
     count_flops,
@@ -277,6 +283,24 @@ class TestFoldedEval:
         np.testing.assert_allclose(forward(spec, theta, bn, x, mode="eval"),
                                    forward_eval_unfolded(spec, theta, bn, x), rtol=rtol, atol=0)
 
+    @pytest.mark.parametrize("batch", [1, _EVAL_COL_SAMPLES, _EVAL_COL_SAMPLES + 1, 3 * _EVAL_COL_SAMPLES + 5])
+    @pytest.mark.parametrize("conv", [ConvSpec(1, 5, (3, 3), 1, 1), ConvSpec(5, 5, (3, 3), 2, 1),
+                                      ConvSpec(3, 2, (2, 3), 2, 0)])
+    def test_eval_conv_in_sample_groups_is_bit_equal(self, batch, conv):
+        # the eval conv builds its column matrix a group of samples at a
+        # time and writes PReLU's output into the next layer's padded input
+        rng = np.random.default_rng(batch)
+        xp = pad(rng.standard_normal((conv.in_channels, batch, 9, 12)).astype(np.float32), conv.padding)
+        w = rng.standard_normal((conv.out_channels, conv.in_channels, *conv.kernel)).astype(np.float32)
+        b = rng.standard_normal(conv.out_channels).astype(np.float32)
+        slope = np.array([0.25, -0.5, 1.5, 1.0, 0.0][: conv.out_channels], dtype=np.float32)
+        z = _conv_forward(xp, w, b, conv)[0]
+        whole = _prelu(z, slope, out=np.empty_like(z))
+        xp_next, grouped = _padded(*z.shape, 2, np.float32)
+        _conv_prelu_eval(xp, w, b, slope, conv, out=grouped)
+        np.testing.assert_array_equal(grouped, whole)
+        np.testing.assert_array_equal(xp_next, pad(whole, 2))  # the border stays zero
+
     def test_eval_leaves_theta_untouched(self):
         spec = micro_spec()
         theta, bn, rng = trained_bn_case(spec, 14, np.float32)
@@ -417,12 +441,16 @@ class TestTrainStep:
            kw=st.integers(1, 3), stride=st.integers(1, 2), padding=st.integers(0, 2),
            h=st.integers(1, 7), w=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
     def test_conv_backward_matches_loop(self, c, o, b, kh, kw, stride, padding, h, w, seed):
+        """_conv_forward and _conv_backward against the one-position-at-a-time
+        loops, in float64."""
         assume(h + 2 * padding >= kh and w + 2 * padding >= kw)
         conv = ConvSpec(c, o, (kh, kw), stride, padding)
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((c, b, h, w))
         weight = rng.standard_normal((o, c, kh, kw))
-        out, cols = _conv_forward(x, weight, np.zeros(o), conv)
+        bias = rng.standard_normal(o)
+        out, cols = _conv_forward(pad(x, padding), weight, bias, conv)
+        np.testing.assert_allclose(out, conv_forward_naive(x, weight, bias, conv), rtol=1e-12, atol=1e-12)
         dout = rng.standard_normal(out.shape)
         dw, db, dx = _conv_backward(dout, cols, weight, conv, x.shape)
         dw_ref, db_ref, dx_ref = conv_backward_naive(dout, x, weight, conv)
