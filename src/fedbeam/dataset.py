@@ -13,6 +13,12 @@ Each scene's geometry is one array pass: all 4n faces, perimeter points and
 reflection hits at once, then a single Liang-Barsky clip of every segment
 (vehicle to point, BS to vehicle, BS to hit, hit to vehicle) against every
 box, taken in row blocks of _CLIP_PAIRS segment-box pairs to bound memory.
+The random draws of every scene's attempts (vehicle position and obstacle
+boxes, rejected while the BS or the vehicle lands in a box) are one array
+pass per block of _DRAW_DOUBLES uniforms. They read the generator's stream
+in the order of one scalar draw after another, so every seed gives the same
+scenes and the same .fbds bytes; each accepted scene's geometry is then
+built by synthesize_scene as before.
 """
 
 import glob
@@ -307,6 +313,8 @@ class SynthConfig:
         x0, x1, y0, y1 = self.area
         if x1 <= x0 or y1 <= y0:
             raise ValueError("area box is degenerate")
+        if not (math.isfinite(float(x1) - float(x0)) and math.isfinite(float(y1) - float(y0))):
+            raise ValueError(f"area width and length must be finite, got {self.area!r}")
         for name in ranges:
             lo, hi = getattr(self, name)
             if not 0 < lo <= hi:
@@ -488,45 +496,68 @@ def synthesize_scene(cfg, vehicle_xy, boxes, codebook=None):
     )
 
 
-def _draw_obstacles(cfg, rng):
-    """(n, 4) obstacle footprints, rows x0, x1, y0, y1."""
-    x0_area, x1_area, y0_area, y1_area = cfg.area
-    boxes = []
-    for _ in range(cfg.obstacles):
-        sx = rng.uniform(*cfg.obstacle_size_x)
-        sy = rng.uniform(*cfg.obstacle_size_y)
-        sx = min(sx, x1_area - x0_area)
-        sy = min(sy, y1_area - y0_area)
-        x0 = rng.uniform(x0_area, x1_area - sx)
-        y0 = rng.uniform(y0_area, y1_area - sy)
-        rng.random()  # a draw nothing uses, kept so every seed keeps its scenes
-        boxes.append((x0, x0 + sx, y0, y0 + sy))
-    return np.array(boxes, dtype=np.float64).reshape(-1, 4)
+# Uniforms drawn per block in _draw_scenes: bounds its temporaries (about
+# 2 MiB) however many obstacles a scene has.
+_DRAW_DOUBLES = 2**16
 
 
-def _inside(boxes, x, y):
-    """Does any box footprint contain (x, y), faces included?"""
-    return bool(np.any((boxes[:, 0] <= x) & (x <= boxes[:, 1]) & (boxes[:, 2] <= y) & (y <= boxes[:, 3])))
+def _draw_scenes(cfg, n, rng):
+    """Vehicle positions (n, 2) and obstacle footprints (n, obstacles, 4), rows
+    x0, x1, y0, y1, of n scenes whose attempts read rng in blocks of about
+    _DRAW_DOUBLES uniforms.
+
+    An attempt is one row of uniforms: vehicle x and y, then per obstacle
+    size x, size y, x0, y0 and a draw nothing uses, kept so every seed keeps
+    its scenes. Each value is low + (high - low) * u with float bounds, what
+    Generator.uniform computes, so the rows give the scenes of one scalar
+    draw after another. An attempt is rejected when the BS or the vehicle
+    lies in a box, faces included; max_retries rejections in a row exhaust
+    the scene. A box clamped to the area's width starts at x1 - (x1 - x0),
+    which can round an ulp below x0.
+    """
+    x0_area, x1_area, y0_area, y1_area = map(float, cfg.area)
+    area_lo, area_hi = np.array([x0_area, y0_area]), np.array([x1_area, y1_area])
+    (sx_lo, sx_hi), (sy_lo, sy_hi) = (map(float, r) for r in (cfg.obstacle_size_x, cfg.obstacle_size_y))
+    bs_x, bs_y = float(cfg.bs_pos[0]), float(cfg.bs_pos[1])
+    cols = 2 + 5 * cfg.obstacles
+    positions = np.empty((n, 2))
+    boxes = np.empty((n, cfg.obstacles, 4))
+    done = retries = 0
+    while done < n:
+        u = rng.random((min(n - done, max(1, _DRAW_DOUBLES // cols)), cols))
+        vehicle = area_lo + (area_hi - area_lo) * u[:, :2]
+        o = u[:, 2:].reshape(len(u), cfg.obstacles, 5)
+        sx = np.minimum(sx_lo + (sx_hi - sx_lo) * o[..., 0], x1_area - x0_area)
+        sy = np.minimum(sy_lo + (sy_hi - sy_lo) * o[..., 1], y1_area - y0_area)
+        x0 = x0_area + (x1_area - sx - x0_area) * o[..., 2]
+        y0 = y0_area + (y1_area - sy - y0_area) * o[..., 3]
+        x1, y1 = x0 + sx, y0 + sy
+        vx, vy = vehicle[:, :1], vehicle[:, 1:]
+        rejected = (((x0 <= bs_x) & (bs_x <= x1) & (y0 <= bs_y) & (bs_y <= y1))
+                    | ((x0 <= vx) & (vx <= x1) & (y0 <= vy) & (vy <= y1))).any(axis=1)
+        kept = []
+        for row, bad in enumerate(rejected.tolist()):
+            if not bad:
+                kept.append(row)
+                retries = 0
+            else:
+                retries += 1
+                if retries == cfg.max_retries:
+                    raise ValueError(
+                        f"max_retries {cfg.max_retries} exhausted at scene {done + len(kept)}: "
+                        "the BS or vehicle keeps landing inside an obstacle"
+                    )
+        positions[done : done + len(kept)] = vehicle[kept]
+        boxes[done : done + len(kept)] = np.stack([x0[kept], x1[kept], y0[kept], y1[kept]], axis=-1)
+        done += len(kept)
+    return positions, boxes
 
 
 def generate_synthetic(cfg, n, seed):
     """Generate n labelled scenes; byte-identical for fixed (cfg, n, seed)."""
-    rng = np.random.default_rng(seed)
     codebook = cfg.codebook()
-    x0, x1, y0, y1 = cfg.area
-    samples = []
-    for k in range(n):
-        for _ in range(cfg.max_retries):
-            vehicle_xy = (rng.uniform(x0, x1), rng.uniform(y0, y1))
-            boxes = _draw_obstacles(cfg, rng)
-            if not (_inside(boxes, cfg.bs_pos[0], cfg.bs_pos[1]) or _inside(boxes, *vehicle_xy)):
-                break
-        else:
-            raise ValueError(
-                f"max_retries {cfg.max_retries} exhausted at scene {k}: "
-                "the BS or vehicle keeps landing inside an obstacle"
-            )
-        samples.append(synthesize_scene(cfg, vehicle_xy, boxes, codebook))
+    positions, boxes = _draw_scenes(cfg, n, np.random.default_rng(seed))
+    samples = [synthesize_scene(cfg, (x, y), b, codebook) for (x, y), b in zip(positions.tolist(), boxes)]
     return Dataset(meta=cfg.meta(seed), samples=samples)
 
 

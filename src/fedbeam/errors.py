@@ -51,8 +51,14 @@ def require_int(name, value, least, most=None):
 
 
 def is_finite_real(value):
-    """True for a finite real number that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    """True for a finite real number that is not a bool; an integer too large
+    for a float is not finite."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def require_real(name, value, strict=True):

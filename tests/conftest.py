@@ -125,6 +125,48 @@ def reflection_hits_naive(boxes, src, dst):
     return np.array(hits, dtype=np.float64).reshape(-1, 2)
 
 
+def draw_obstacles_naive(cfg, rng):
+    """(n, 4) obstacle footprints, rows x0, x1, y0, y1."""
+    x0_area, x1_area, y0_area, y1_area = cfg.area
+    boxes = []
+    for _ in range(cfg.obstacles):
+        sx = rng.uniform(*cfg.obstacle_size_x)
+        sy = rng.uniform(*cfg.obstacle_size_y)
+        sx = min(sx, x1_area - x0_area)
+        sy = min(sy, y1_area - y0_area)
+        x0 = rng.uniform(x0_area, x1_area - sx)
+        y0 = rng.uniform(y0_area, y1_area - sy)
+        rng.random()  # the draw nothing uses
+        boxes.append((x0, x0 + sx, y0, y0 + sy))
+    return np.array(boxes, dtype=np.float64).reshape(-1, 4)
+
+
+def inside_naive(boxes, x, y):
+    """Does any box footprint contain (x, y), faces included?"""
+    return bool(np.any((boxes[:, 0] <= x) & (x <= boxes[:, 1]) & (boxes[:, 2] <= y) & (y <= boxes[:, 3])))
+
+
+def draw_scenes_naive(cfg, n, rng):
+    """Scalar-draw retry loop oracle for dataset._draw_scenes: positions (n, 2)
+    and boxes (n, obstacles, 4)."""
+    x0, x1, y0, y1 = cfg.area
+    positions, scenes = [], []
+    for k in range(n):
+        for _ in range(cfg.max_retries):
+            vehicle_xy = (rng.uniform(x0, x1), rng.uniform(y0, y1))
+            boxes = draw_obstacles_naive(cfg, rng)
+            if not (inside_naive(boxes, cfg.bs_pos[0], cfg.bs_pos[1]) or inside_naive(boxes, *vehicle_xy)):
+                break
+        else:
+            raise ValueError(
+                f"max_retries {cfg.max_retries} exhausted at scene {k}: "
+                "the BS or vehicle keeps landing inside an obstacle"
+            )
+        positions.append(vehicle_xy)
+        scenes.append(boxes)
+    return np.array(positions).reshape(n, 2), np.array(scenes).reshape(n, cfg.obstacles, 4)
+
+
 def pad(x, p):
     """(C, B, H, W) activations zero-padded by p on each side, as
     nn._conv_forward reads them."""

@@ -354,6 +354,9 @@ class TestTrain:
         # one box covers the whole street, so every vehicle draw lands inside it;
         # was a raw RuntimeError from the retry loop
         ("max_retries", {"obstacles": 1, "obstacle_size_x": [3, 3], "obstacle_size_y": [15, 15]}),
+        ("area", [-1e308, 1e308, 0, 100]),  # width overflows: was a raw OverflowError from the RNG
+        ("area", [0, 10, -1e308, 1e308]),  # length overflows: likewise
+        ("area", [0, 10**400, 0, 100]),  # was a raw OverflowError from the finiteness check
     ])
     def test_synthetic_value_exit_2(self, tmp_path, capsys, key, value):
         """value sets key, or is a dict of several fields whose error names key."""

@@ -7,10 +7,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import blocked_naive, face_points_naive, reflection_hits_naive
+from conftest import blocked_naive, draw_scenes_naive, face_points_naive, reflection_hits_naive
 from fedbeam import dataset
 from fedbeam.channel import dft_codebook
 from fedbeam.dataset import (
@@ -306,6 +306,20 @@ class TestSynthetic:
                              minlength=synthetic_train.meta.n_pairs)
         assert counts.max() / len(synthetic_train) <= 0.30
 
+    @pytest.mark.parametrize("area", [(-1e308, 1e308, 0, 100), (0, 10, -1e308, 1e308)])
+    def test_area_extent_must_be_finite(self, area):
+        # both bounds are finite, but x_max - x_min or y_max - y_min is inf
+        with pytest.raises(ValueError, match="area width and length must be finite"):
+            SynthConfig(area=area)
+
+    def test_street_wide_boxes_in_a_rounding_area(self):
+        # 0.4 - (0.4 - 0.1) rounds below 0.1: a box clamped to the street's width
+        # was a raw "high - low < 0" from Generator.uniform; it now spans the street
+        cfg = SynthConfig(area=(0.1, 0.4, 0.0, 100.0), obstacle_size_x=(1.0, 3.0))
+        positions, boxes = dataset._draw_scenes(cfg, 20, np.random.default_rng(0))
+        assert np.allclose(boxes[..., :2], (0.1, 0.4), rtol=0, atol=1e-15)
+        assert len(generate_synthetic(cfg, 5, seed=0)) == 5
+
     def test_obstructed_scenes_have_points(self):
         ds = generate_synthetic(SynthConfig(), 30, seed=3)
         assert sum(len(s.cloud) for s in ds.samples) > 0
@@ -497,6 +511,28 @@ def reflection_cases(draw):
     return boxes, src, dst
 
 
+@st.composite
+def draw_configs(draw):
+    """Synth configs whose draws reach every branch: integer or float bounds,
+    boxes wider than the area, areas small enough that the BS or the vehicle
+    often lands in a box, so attempts are rejected and scenes exhaust, and
+    areas far from the origin, where draws round onto box faces."""
+    def number(lo, hi):
+        return draw(st.one_of(st.integers(int(lo), int(hi)), st.floats(lo, hi, allow_nan=False)))
+
+    x0 = number(-20, 20) + draw(st.sampled_from([0, 0, 0, 2.0**50]))
+    y0 = number(-20, 20) + draw(st.sampled_from([0, 0, 0, 2.0**50]))
+    area = (x0, x0 + number(1, 30), y0, y0 + number(1, 30))
+    sizes = []
+    for _ in range(2):
+        lo = draw(st.one_of(st.integers(1, 10), st.floats(0.01, 10.0)))
+        sizes.append((lo, lo + number(0, 5)))
+    bs = tuple(draw(st.one_of(st.sampled_from(area[a : a + 2]), st.just(number(-5, 5) + area[a]))) for a in (0, 2))
+    return SynthConfig(area=area, bs_pos=(*bs, 5.0), obstacles=draw(st.integers(0, 12)),
+                       obstacle_size_x=sizes[0], obstacle_size_y=sizes[1],
+                       max_retries=draw(st.integers(1, 5)))
+
+
 def blocked_per_segment(origins, targets, boxes):
     return np.array([blocked_naive(o, t[None], boxes)[0] for o, t in zip(origins, targets)], dtype=bool)
 
@@ -565,6 +601,27 @@ class TestGeometryOracles:
         assert got.tolist() == expected
         assert reflection_hits_naive(BOX, src, dst).tolist() == expected
 
+    @settings(max_examples=400, deadline=None)
+    @given(cfg=draw_configs(), n=st.integers(0, 16), seed=st.integers(0, 2**32), doubles=st.integers(1, 80))
+    def test_draws_match_scalar_retry_loop(self, cfg, n, seed, doubles):
+        # a small block size splits the attempts at every possible place
+        with mock.patch.object(dataset, "_DRAW_DOUBLES", doubles):
+            try:
+                got = dataset._draw_scenes(cfg, n, np.random.default_rng(seed))
+            except ValueError as e:
+                got = str(e)
+        try:
+            want = draw_scenes_naive(cfg, n, np.random.default_rng(seed))
+        except ValueError as e:
+            want = str(e)
+        # the loop's clamp can round x1 - (x1 - x0) below x0, which Generator.uniform
+        # refuses; test_street_wide_boxes_in_a_rounding_area covers that case
+        assume(want != "high - low < 0")
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert [(a.shape, a.tobytes()) for a in got] == [(a.shape, a.tobytes()) for a in want]
+
     def test_clip_memory_is_bounded(self):
         # 150 boxes at 0.05 m spacing: ~37k segments x 150 boxes per scene
         cfg = SynthConfig(obstacles=150, point_spacing=0.05, area=(0, 200, 0, 1000),
@@ -576,3 +633,15 @@ class TestGeometryOracles:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_draw_memory_is_bounded(self):
+        # 3000 boxes a scene: 15002 uniforms an attempt, 4 attempts a block
+        cfg = SynthConfig(obstacles=3000, area=(0, 10000, 0, 10000), bs_pos=(-20, 5000, 5))
+        tracemalloc.start()
+        try:
+            positions, boxes = dataset._draw_scenes(cfg, 64, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the outputs take 6 MiB; drawing every attempt at once would add 7 MiB more
+        assert peak - positions.nbytes - boxes.nbytes < 3 * 2**20
