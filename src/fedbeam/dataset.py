@@ -4,6 +4,11 @@ A Sample bundles one scene: the LIDAR point cloud, vehicle and base-station
 positions, the optimal beam-pair label, and (optionally) the full per-pair
 power matrix it was derived from. Datasets serialize to a little-endian
 binary layout (magic "FBDS") that round-trips float32 payloads bit-exactly.
+The reader makes one pass over the records, reading only the point counts,
+labels and powers flags (a flag is 0 or 1), then gathers every cloud,
+vehicle and BS float into one array and every power row into another, and
+checks all samples' invariants at once with the same function that checks
+a single Sample; each loaded Sample holds views of those arrays.
 
 The synthetic generator stands in for ray-traced scene data: axis-aligned
 obstacle boxes on a street, 2-D ray-cast visibility for the point cloud, and
@@ -32,7 +37,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .channel import BeamCodebook, ChannelSet, beam_powers, optimal_beam
-from .errors import BoundedReader, FormatError, IngestError, IntegrityError, is_finite_real, require_int
+from .errors import BoundedReader, FormatError, IngestError, IntegrityError, is_finite_real, is_float32, require_int
 
 __all__ = [
     "Sample",
@@ -65,6 +70,49 @@ def _f32(a, shape=None):
     return out
 
 
+_NO_POWERS = np.empty((0, 1), dtype=np.float32)
+_COORDS = ("cloud", "vehicle_pos", "bs_pos")
+
+
+def _first_violation(floats, starts, n_points, labels, powers, has_powers):
+    """(k, message) for the first sample that breaks a Sample invariant, or None.
+
+    Sample k's floats start at floats[starts[k]]: its 3 * n_points[k] cloud
+    coordinates, then its vehicle and BS positions. labels and has_powers
+    hold one entry per sample; powers holds, in sample order, the rows of the
+    samples whose has_powers is set. Each check runs over every sample at
+    once. A sample's non-finite floats are counted as the difference of one
+    cumulative sum at its bounds, so an empty cloud counts 0. The message is
+    that of the sample's first failing check, in the order: cloud, vehicle
+    and BS finite, label nonnegative, powers finite and nonnegative, label
+    the first argmax of the powers.
+    """
+    faults = np.zeros((6, len(labels)), dtype=bool)
+    nonfinite = ~np.isfinite(floats)
+    if nonfinite.any():
+        starts = np.asarray(starts, dtype=np.int64)
+        cloud_end = starts + 3 * np.asarray(n_points, dtype=np.int64)
+        seen = np.concatenate(([0], np.cumsum(nonfinite)))
+        faults[:3] = np.diff(seen[np.stack([starts, cloud_end, cloud_end + 3, cloud_end + 6])], axis=0) > 0
+    faults[3] = labels < 0
+    faults[4, has_powers] = ~(np.isfinite(powers) & (powers >= 0)).all(axis=1)
+    best = powers.argmax(axis=1)
+    faults[5, has_powers] = best != labels[has_powers]
+    failing = faults.any(axis=0)
+    if not failing.any():
+        return None
+    k = int(failing.argmax())
+    check = int(faults[:, k].argmax())
+    if check < 3:
+        return k, f"{_COORDS[check]} holds non-finite coordinates"
+    if check == 3:
+        return k, f"label must be nonnegative, got {labels[k]}"
+    if check == 4:
+        return k, "powers must be finite and nonnegative"
+    best_k = best[np.count_nonzero(has_powers[:k])]
+    return k, f"label {labels[k]} is not the argmax of powers ({best_k} under lowest-index tie-break)"
+
+
 @dataclass(eq=False)
 class Sample:
     """One scene: cloud (P, 3), positions (3,), label, optional power vector."""
@@ -82,20 +130,24 @@ class Sample:
         self.label = int(self.label)
         if len(self.cloud) > MAX_CLOUD_POINTS:
             raise ValueError(f"cloud has {len(self.cloud)} points, max {MAX_CLOUD_POINTS}")
-        for name, arr in (("cloud", self.cloud), ("vehicle_pos", self.vehicle_pos), ("bs_pos", self.bs_pos)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} holds non-finite coordinates")
-        if self.label < 0:
-            raise ValueError(f"label must be nonnegative, got {self.label}")
-        if self.powers is not None:
+        has_powers = self.powers is not None
+        if has_powers:
             self.powers = _f32(self.powers).reshape(-1)
-            if not np.all(np.isfinite(self.powers)) or np.any(self.powers < 0):
-                raise ValueError("powers must be finite and nonnegative")
-            if self.label != int(np.argmax(self.powers)):
-                raise ValueError(
-                    f"label {self.label} is not the argmax of powers "
-                    f"({int(np.argmax(self.powers))} under lowest-index tie-break)"
-                )
+        violation = _first_violation(
+            np.concatenate([self.cloud.reshape(-1), self.vehicle_pos, self.bs_pos]), [0], [len(self.cloud)],
+            np.array([self.label]), self.powers.reshape(1, -1) if has_powers else _NO_POWERS,
+            np.array([has_powers]),
+        )
+        if violation is not None:
+            raise ValueError(violation[1])
+
+    @classmethod
+    def _checked(cls, cloud, vehicle_pos, bs_pos, label, powers):
+        """A Sample of float32 arrays whose invariants load_dataset has already
+        checked: assigns them as they are, with no copy and no check."""
+        s = cls.__new__(cls)
+        s.cloud, s.vehicle_pos, s.bs_pos, s.label, s.powers = cloud, vehicle_pos, bs_pos, label, powers
+        return s
 
     def __eq__(self, other):
         if not isinstance(other, Sample):
@@ -137,6 +189,8 @@ class DatasetMeta:
                 and all(map(is_finite_real, self.area))):
             raise ValueError(f"area must be 4 finite numbers (x_min, x_max, y_min, y_max), "
                              f"got {self.area!r}")
+        if not all(map(is_float32, self.area)):
+            raise ValueError(f"area must stay finite as float32, as .fbds stores it, got {self.area!r}")
         # area is stored as float32 on disk; coerce now so round-trips are exact
         object.__setattr__(self, "area", tuple(float(np.float32(a)) for a in self.area))
         require_int("seed", self.seed, 0, 0xFFFFFFFFFFFFFFFF)
@@ -157,15 +211,12 @@ class Dataset:
         self.validate()
 
     def validate(self):
+        n_pairs = self.meta.n_pairs
         for k, s in enumerate(self.samples):
-            if s.label >= self.meta.n_pairs:
-                raise ValueError(
-                    f"sample {k}: label {s.label} >= C_t*C_r = {self.meta.n_pairs}"
-                )
-            if s.powers is not None and s.powers.shape != (self.meta.n_pairs,):
-                raise ValueError(
-                    f"sample {k}: powers length {s.powers.shape[0]} != {self.meta.n_pairs}"
-                )
+            if s.label >= n_pairs:
+                raise ValueError(f"sample {k}: label {s.label} >= C_t*C_r = {n_pairs}")
+            if s.powers is not None and s.powers.shape != (n_pairs,):
+                raise ValueError(f"sample {k}: powers length {s.powers.shape[0]} != {n_pairs}")
 
     def __len__(self):
         return len(self.samples)
@@ -213,8 +264,30 @@ def save_dataset(ds, path):
                 f.write(s.powers.astype("<f4").tobytes())
 
 
+_POINT_COUNT = struct.Struct("<I")
+_LABEL_FLAG = struct.Struct("<HB")
+
+
+def _short_record(r, k, at, n_points):
+    """The truncation error for sample k's record, whose cloud starts at byte at."""
+    for what, size in (("point cloud", 12 * n_points), ("vehicle position", 12), ("BS position", 12)):
+        if at + size > len(r.data):
+            return r.truncated(f"{what} of sample {k}", at)
+        at += size
+    return r.truncated(f"label/powers flag of sample {k}", at)
+
+
 def load_dataset(path):
-    """Read a file written by save_dataset; bit-exact on float32 payloads."""
+    """Read a file written by save_dataset; bit-exact on float32 payloads.
+
+    One pass over the records reads the point counts, labels and powers
+    flags and stops at the first record that is truncated, declares more
+    than MAX_CLOUD_POINTS points or has a flag other than 0 or 1. The
+    records read so far are then checked as arrays, and the earliest
+    failing sample decides the error: an invariant of a sample before the
+    bad record, else the record's own fault. Trailing bytes come next, then
+    contradictions of the meta block.
+    """
     r = BoundedReader(path, _MAGIC, _VERSION)
     c_t, c_r, n_t, n_r, n_c = r.unpack("<5H", "meta counts")
     area = tuple(float(v) for v in r.floats(4, "area box"))
@@ -225,22 +298,59 @@ def load_dataset(path):
         raise FormatError(f"invalid meta block: {e}", 8) from e
     r.header = False
 
-    samples = []
+    data, end, pos = r.data, len(r.data), r.offset
+    view = memoryview(data)
+    power_bytes = 4 * meta.n_pairs
+    float_runs, power_runs, n_points, labels, flags = [], [], [], [], []
+    fault = None
     for k in range(count):
-        (n_points,) = r.unpack("<I", f"point count of sample {k}")
-        if n_points > MAX_CLOUD_POINTS:
-            raise IntegrityError(f"sample {k} declares {n_points} points, max {MAX_CLOUD_POINTS}")
-        cloud = r.floats(3 * n_points, f"point cloud of sample {k}").reshape(-1, 3)
-        vehicle = r.floats(3, f"vehicle position of sample {k}")
-        bs = r.floats(3, f"BS position of sample {k}")
-        label, flag = r.unpack("<HB", f"label/powers flag of sample {k}")
-        powers = r.floats(meta.n_pairs, f"powers of sample {k}") if flag else None
-        try:
-            samples.append(Sample(cloud=cloud, vehicle_pos=vehicle, bs_pos=bs, label=label, powers=powers))
-        except ValueError as e:
-            raise IntegrityError(f"sample {k} violates invariants: {e}") from e
+        if pos + 4 > end:
+            fault = r.truncated(f"point count of sample {k}", pos)
+            break
+        (n,) = _POINT_COUNT.unpack_from(data, pos)
+        if n > MAX_CLOUD_POINTS:
+            fault = IntegrityError(f"sample {k} declares {n} points, max {MAX_CLOUD_POINTS}")
+            break
+        at = pos + 4 + 12 * n + 24  # the label/flag field
+        if at + 3 > end:
+            fault = _short_record(r, k, pos + 4, n)
+            break
+        label, flag = _LABEL_FLAG.unpack_from(data, at)
+        if flag > 1:
+            fault = IntegrityError(f"sample {k} has powers flag {flag}, expected 0 or 1 (byte offset {at + 2})")
+            break
+        next_pos = at + 3 + power_bytes * flag
+        if next_pos > end:
+            fault = r.truncated(f"powers of sample {k}", at + 3)
+            break
+        float_runs.append(view[pos + 4 : at])
+        if flag:
+            power_runs.append(view[at + 3 : next_pos])
+        n_points.append(n)
+        labels.append(label)
+        flags.append(flag)
+        pos = next_pos
 
+    floats = np.frombuffer(bytearray().join(float_runs), dtype="<f4").astype(np.float32, copy=False)
+    powers = np.frombuffer(bytearray().join(power_runs), dtype="<f4").astype(np.float32, copy=False)
+    powers = powers.reshape(-1, meta.n_pairs)
+    sizes = 3 * np.array(n_points, dtype=np.int64) + 6
+    starts = np.cumsum(sizes) - sizes
+    violation = _first_violation(floats, starts, n_points, np.array(labels, dtype=np.int64), powers,
+                                 np.array(flags, dtype=bool))
+    if violation is not None:
+        raise IntegrityError(f"sample {violation[0]} violates invariants: {violation[1]}")
+    if fault is not None:
+        raise fault
+    r.offset = pos
     r.finish(f"the declared {count} samples")
+
+    rows = iter(powers)
+    samples = [
+        Sample._checked(floats[s : e - 6].reshape(-1, 3), floats[e - 6 : e - 3], floats[e - 3 : e], label,
+                        next(rows) if flag else None)
+        for s, e, label, flag in zip(starts.tolist(), (starts + sizes).tolist(), labels, flags)
+    ]
     try:
         return Dataset(meta=meta, samples=samples)
     except ValueError as e:
@@ -310,6 +420,11 @@ class SynthConfig:
                      "los_gain", "reflection_gain", "reflection_falloff_m"):
             if not is_finite_real(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        # every sample stores these as float32
+        if not all(map(is_float32, self.bs_pos)):
+            raise ValueError(f"bs_pos must stay finite as float32, got {self.bs_pos!r}")
+        if not is_float32(self.vehicle_height):
+            raise ValueError(f"vehicle_height must stay finite as float32, got {self.vehicle_height!r}")
         x0, x1, y0, y1 = self.area
         if x1 <= x0 or y1 <= y0:
             raise ValueError("area box is degenerate")

@@ -61,6 +61,16 @@ def is_finite_real(value):
         return False
 
 
+# Half an ulp above the largest float32: from here on a float64 rounds to inf
+# when cast to float32 (at the midpoint, ties go to the even 2**128).
+_FLOAT32_OVERFLOW = 2.0**128 - 2.0**103
+
+
+def is_float32(value):
+    """True for a finite real that stays finite when stored as a float32."""
+    return is_finite_real(value) and abs(float(value)) < _FLOAT32_OVERFLOW
+
+
 def require_real(name, value, strict=True):
     """ValueError unless value is a finite real (bools excluded) that is > 0,
     or >= 0 when strict is False."""
@@ -89,11 +99,15 @@ class BoundedReader:
         if found != version:
             raise FormatError(f"unsupported version {found}", len(magic))
 
+    def truncated(self, what, offset):
+        """The error for a read of `what` at byte `offset` that runs past the end."""
+        if self.header:
+            return FormatError(f"file truncated while reading {what}", offset)
+        return IntegrityError(f"file truncated while reading {what} (byte offset {offset})")
+
     def take(self, n, what):
         if self.offset + n > len(self.data):
-            if self.header:
-                raise FormatError(f"file truncated while reading {what}", self.offset)
-            raise IntegrityError(f"file truncated while reading {what} (byte offset {self.offset})")
+            raise self.truncated(what, self.offset)
         chunk = self.data[self.offset : self.offset + n]
         self.offset += n
         return chunk

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fedbeam.dataset import SynthConfig, generate_synthetic
+from fedbeam.dataset import MAX_CLOUD_POINTS, Dataset, DatasetMeta, Sample, SynthConfig, generate_synthetic
+from fedbeam.errors import BoundedReader, FormatError, IntegrityError
 from fedbeam.nn import (
     BN_EPS,
     BN_MOMENTUM,
@@ -165,6 +166,57 @@ def draw_scenes_naive(cfg, n, rng):
         positions.append(vehicle_xy)
         scenes.append(boxes)
     return np.array(positions).reshape(n, 2), np.array(scenes).reshape(n, cfg.obstacles, 4)
+
+
+def sample_violation_naive(cloud, vehicle, bs, powers, label):
+    """The message of the first Sample invariant one record breaks, or None:
+    the checks one field after another, in Sample's order."""
+    for name, arr in (("cloud", cloud), ("vehicle_pos", vehicle), ("bs_pos", bs)):
+        if not np.all(np.isfinite(arr)):
+            return f"{name} holds non-finite coordinates"
+    if powers is not None:
+        if not np.all(np.isfinite(powers)) or np.any(powers < 0):
+            return "powers must be finite and nonnegative"
+        if label != int(np.argmax(powers)):
+            return (f"label {label} is not the argmax of powers "
+                    f"({int(np.argmax(powers))} under lowest-index tie-break)")
+    return None
+
+
+def load_dataset_naive(path):
+    """Record-by-record oracle for dataset.load_dataset: six bounded reads and
+    the Sample checks per record, so the first bad record decides the error.
+    Any powers flag other than 0 means powers follow."""
+    r = BoundedReader(path, b"FBDS", 1)
+    c_t, c_r, n_t, n_r, n_c = r.unpack("<5H", "meta counts")
+    area = tuple(float(v) for v in r.floats(4, "area box"))
+    seed, count = r.unpack("<QQ", "seed/sample count")
+    try:
+        meta = DatasetMeta(c_t=c_t, c_r=c_r, n_t=n_t, n_r=n_r, n_c=n_c, area=area, seed=seed)
+    except ValueError as e:
+        raise FormatError(f"invalid meta block: {e}", 8) from e
+    r.header = False
+
+    records = []
+    for k in range(count):
+        (n_points,) = r.unpack("<I", f"point count of sample {k}")
+        if n_points > MAX_CLOUD_POINTS:
+            raise IntegrityError(f"sample {k} declares {n_points} points, max {MAX_CLOUD_POINTS}")
+        cloud = r.floats(3 * n_points, f"point cloud of sample {k}").reshape(-1, 3)
+        vehicle = r.floats(3, f"vehicle position of sample {k}")
+        bs = r.floats(3, f"BS position of sample {k}")
+        label, flag = r.unpack("<HB", f"label/powers flag of sample {k}")
+        powers = r.floats(meta.n_pairs, f"powers of sample {k}") if flag else None
+        violation = sample_violation_naive(cloud, vehicle, bs, powers, label)
+        if violation is not None:
+            raise IntegrityError(f"sample {k} violates invariants: {violation}")
+        records.append((cloud, vehicle, bs, label, powers))
+
+    r.finish(f"the declared {count} samples")
+    try:
+        return Dataset(meta=meta, samples=[Sample(*rec) for rec in records])
+    except ValueError as e:
+        raise IntegrityError(f"dataset contradicts its meta block: {e}") from e
 
 
 def pad(x, p):

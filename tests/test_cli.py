@@ -357,6 +357,11 @@ class TestTrain:
         ("area", [-1e308, 1e308, 0, 100]),  # width overflows: was a raw OverflowError from the RNG
         ("area", [0, 10, -1e308, 1e308]),  # length overflows: likewise
         ("area", [0, 10**400, 0, 100]),  # was a raw OverflowError from the finiteness check
+        # beyond float32, the type .fbds stores them as: each exited 2 only after
+        # drawing scenes, as "cloud (or bs_pos) holds non-finite coordinates"
+        ("area", [0, 1e39, 0, 100]),
+        ("vehicle_height", 1e39),
+        ("bs_pos", [-1e39, 50, 5]),
     ])
     def test_synthetic_value_exit_2(self, tmp_path, capsys, key, value):
         """value sets key, or is a dict of several fields whose error names key."""

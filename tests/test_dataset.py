@@ -1,6 +1,8 @@
 import json
 import logging
 import os
+import re
+import struct
 import tempfile
 import tracemalloc
 from unittest import mock
@@ -10,10 +12,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import blocked_naive, draw_scenes_naive, face_points_naive, reflection_hits_naive
+from conftest import (
+    blocked_naive,
+    draw_scenes_naive,
+    face_points_naive,
+    load_dataset_naive,
+    reflection_hits_naive,
+)
 from fedbeam import dataset
 from fedbeam.channel import dft_codebook
 from fedbeam.dataset import (
+    MAX_CLOUD_POINTS,
     Dataset,
     DatasetMeta,
     IngestSpec,
@@ -27,7 +36,18 @@ from fedbeam.dataset import (
     save_dataset,
     synthesize_scene,
 )
-from fedbeam.errors import FormatError, IngestError, IntegrityError
+from fedbeam.errors import FormatError, IngestError, IntegrityError, is_float32
+
+
+# Golden files written by the per-box geometry code before the one-pass clip
+# replaced it; regenerating each must reproduce it byte for byte. Never remake
+# them: a mismatch means a scene's bytes moved.
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data")
+GOLDEN_CASES = [
+    ("synth_default.fbds", {}, 16, 2021),
+    ("synth_12_obstacles.fbds", {"obstacles": 12, "point_spacing": 0.7}, 8, 2022),
+    ("synth_no_obstacles.fbds", {"obstacles": 0}, 4, 2023),
+]
 
 
 def small_meta(c_t=2, c_r=2):
@@ -63,6 +83,22 @@ class TestSampleInvariants:
         with pytest.raises(ValueError, match="finite"):
             Sample(cloud=np.zeros((0, 3)), vehicle_pos=[0, np.nan, 0], bs_pos=np.zeros(3), label=0)
 
+    @pytest.mark.parametrize("field", ["vehicle_pos", "bs_pos"])
+    def test_empty_cloud_fault_names_its_field(self, field):
+        # an empty cloud counts no faults, not the next field's
+        kwargs = {"vehicle_pos": np.zeros(3), "bs_pos": np.zeros(3), field: [np.inf, 0, 0]}
+        with pytest.raises(ValueError, match=f"^{field} holds non-finite coordinates$"):
+            Sample(cloud=np.zeros((0, 3)), label=0, **kwargs)
+
+    def test_cloud_fault_comes_first(self):
+        with pytest.raises(ValueError, match="^cloud holds non-finite"):
+            Sample(cloud=[[0, 0, np.nan]], vehicle_pos=[np.nan] * 3, bs_pos=np.zeros(3), label=0,
+                   powers=[-1.0])
+
+    def test_negative_label_rejected(self):
+        with pytest.raises(ValueError, match="label must be nonnegative, got -1"):
+            Sample(cloud=np.zeros((0, 3)), vehicle_pos=np.zeros(3), bs_pos=np.zeros(3), label=-1)
+
     def test_label_range_checked_by_dataset(self):
         s = Sample(cloud=np.zeros((0, 3)), vehicle_pos=np.zeros(3), bs_pos=np.zeros(3), label=99)
         with pytest.raises(ValueError, match="label 99"):
@@ -84,6 +120,115 @@ class TestPowers:
 
     def test_empty_dataset_gives_empty_matrix(self):
         assert Dataset(meta=small_meta(), samples=[]).powers().shape == (0, 4)
+
+
+@st.composite
+def datasets(draw):
+    """A small Dataset of random counts, coordinates, powers and labels."""
+    c_t = draw(st.integers(1, 4), label="c_t")
+    c_r = draw(st.integers(1, 3), label="c_r")
+    meta = DatasetMeta(
+        c_t=c_t, c_r=c_r,
+        n_t=draw(st.integers(1, 8)),
+        n_r=draw(st.integers(1, 4)),
+        n_c=draw(st.integers(1, 8)),
+        area=tuple(draw(st.lists(
+            st.floats(-1e4, 1e4, allow_nan=False, width=32), min_size=4, max_size=4))),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    coord = st.floats(-1e5, 1e5, allow_nan=False, width=32)
+    samples = []
+    for _ in range(draw(st.integers(0, 4), label="n_samples")):
+        n_points = draw(st.integers(0, 5))
+        cloud = np.array(
+            draw(st.lists(st.tuples(coord, coord, coord), min_size=n_points, max_size=n_points)),
+            dtype=np.float32,
+        ).reshape(-1, 3)
+        if draw(st.booleans()):
+            powers = np.array(
+                draw(st.lists(st.floats(0, 1e6, allow_nan=False, width=32),
+                              min_size=c_t * c_r, max_size=c_t * c_r)),
+                dtype=np.float32,
+            )
+            label = int(np.argmax(powers))
+        else:
+            powers = None
+            label = draw(st.integers(0, c_t * c_r - 1))
+        samples.append(Sample(
+            cloud=cloud,
+            vehicle_pos=np.array(draw(st.tuples(coord, coord, coord)), dtype=np.float32),
+            bs_pos=np.array(draw(st.tuples(coord, coord, coord)), dtype=np.float32),
+            label=label,
+            powers=powers,
+        ))
+    return Dataset(meta=meta, samples=samples)
+
+
+def fbds_records(data):
+    """Byte offsets of each record's fields in a well-formed .fbds file:
+    dicts of count, cloud, vehicle, bs, label, flag and powers (None when
+    the flag is 0), plus n_points and n_pairs."""
+    c_t, c_r = struct.unpack_from("<2H", data, 8)
+    (count,) = struct.unpack_from("<Q", data, 42)
+    records, at = [], 50
+    for _ in range(count):
+        (n,) = struct.unpack_from("<I", data, at)
+        rec = {"count": at, "n_points": n, "n_pairs": c_t * c_r, "cloud": at + 4}
+        rec["vehicle"] = rec["cloud"] + 12 * n
+        rec["bs"] = rec["vehicle"] + 12
+        rec["label"] = rec["bs"] + 12
+        rec["flag"] = rec["label"] + 2
+        rec["powers"] = rec["flag"] + 1 if data[rec["flag"]] else None
+        at = rec["flag"] + 1 + (4 * c_t * c_r if data[rec["flag"]] else 0)
+        records.append(rec)
+    return records
+
+
+def corrupt(data, buf):
+    """Apply one to three drawn corruptions to the .fbds bytes in buf: byte
+    flips, non-finite floats, negative powers, labels, flags and point counts
+    over MAX_CLOUD_POINTS written into a record, trailing bytes, or a cut."""
+    records = fbds_records(bytes(buf))
+
+    def put(fmt, at, value):
+        if at is not None and at + struct.calcsize(fmt) <= len(buf):
+            struct.pack_into(fmt, buf, at, value)
+
+    for _ in range(data.draw(st.integers(1, 3), label="n_corruptions")):
+        kind = data.draw(st.sampled_from(
+            ["flip", "nonfinite", "negative_power", "label", "flag", "points", "trailing", "cut"]))
+        if kind == "flip" and buf:
+            at = data.draw(st.integers(0, len(buf) - 1))
+            buf[at] ^= data.draw(st.integers(1, 255))
+        elif kind == "trailing":
+            buf.extend(data.draw(st.binary(min_size=1, max_size=8)))
+        elif kind == "cut":
+            del buf[data.draw(st.integers(0, len(buf))):]
+        elif records:
+            rec = data.draw(st.sampled_from(records))
+            if kind == "nonfinite":
+                # cloud, vehicle and BS floats are contiguous
+                floats = [rec["cloud"] + 4 * i for i in range(3 * rec["n_points"] + 6)]
+                if rec["powers"] is not None:
+                    floats += [rec["powers"] + 4 * i for i in range(rec["n_pairs"])]
+                put("<f", data.draw(st.sampled_from(floats)), data.draw(st.sampled_from([np.nan, np.inf, -np.inf])))
+            elif kind == "negative_power" and rec["powers"] is not None:
+                i = data.draw(st.integers(0, rec["n_pairs"] - 1))
+                put("<f", rec["powers"] + 4 * i, data.draw(st.floats(-1e6, -2.0**-100, width=32)))
+            elif kind == "label":
+                put("<H", rec["label"], data.draw(st.integers(0, 2**16 - 1)))
+            elif kind == "flag":
+                put("<B", rec["flag"], data.draw(st.integers(0, 255)))
+            elif kind == "points":
+                put("<I", rec["count"], data.draw(st.integers(MAX_CLOUD_POINTS + 1, 2**32 - 1)))
+
+
+def load_outcome(loader, path):
+    """The Dataset that loader reads from path, or its error's (class, message)."""
+    try:
+        return loader(path)
+    except (FormatError, IntegrityError) as e:
+        return type(e), str(e)
 
 
 class TestRoundTrip:
@@ -147,61 +292,129 @@ class TestRoundTrip:
             load_dataset(path)
 
     def test_every_prefix_is_format_or_integrity_error(self, tmp_path):
-        with open(os.path.join(GOLDEN_DIR, "synth_no_obstacles.fbds"), "rb") as f:
-            data = f.read()
         path = tmp_path / "prefix.fbds"
-        for n in range(len(data)):
-            path.write_bytes(data[:n])
-            # the header (magic, version, meta block) is the first 50 bytes
-            with pytest.raises(FormatError if n < 50 else IntegrityError):
-                load_dataset(path)
+        for name, *_ in GOLDEN_CASES:
+            with open(os.path.join(GOLDEN_DIR, name), "rb") as f:
+                data = f.read()
+            for n in range(len(data)):
+                path.write_bytes(data[:n])
+                got = load_outcome(load_dataset, path)
+                # the header (magic, version, meta block) is the first 50 bytes
+                assert got[0] is (FormatError if n < 50 else IntegrityError), (name, n)
+                assert got == load_outcome(load_dataset_naive, path), (name, n)
 
     @settings(max_examples=30, deadline=None)
-    @given(data=st.data())
-    def test_roundtrip_property(self, data):
-        c_t = data.draw(st.integers(1, 4), label="c_t")
-        c_r = data.draw(st.integers(1, 3), label="c_r")
-        meta = DatasetMeta(
-            c_t=c_t, c_r=c_r,
-            n_t=data.draw(st.integers(1, 8)),
-            n_r=data.draw(st.integers(1, 4)),
-            n_c=data.draw(st.integers(1, 8)),
-            area=tuple(data.draw(st.lists(
-                st.floats(-1e4, 1e4, allow_nan=False, width=32), min_size=4, max_size=4))),
-            seed=data.draw(st.integers(0, 2**64 - 1)),
-        )
-        coord = st.floats(-1e5, 1e5, allow_nan=False, width=32)
-        samples = []
-        for _ in range(data.draw(st.integers(0, 4), label="n_samples")):
-            n_points = data.draw(st.integers(0, 5))
-            cloud = np.array(
-                data.draw(st.lists(st.tuples(coord, coord, coord),
-                                   min_size=n_points, max_size=n_points)),
-                dtype=np.float32,
-            ).reshape(-1, 3)
-            with_powers = data.draw(st.booleans())
-            if with_powers:
-                powers = np.array(
-                    data.draw(st.lists(st.floats(0, 1e6, allow_nan=False, width=32),
-                                       min_size=c_t * c_r, max_size=c_t * c_r)),
-                    dtype=np.float32,
-                )
-                label = int(np.argmax(powers))
-            else:
-                powers = None
-                label = data.draw(st.integers(0, c_t * c_r - 1))
-            samples.append(Sample(
-                cloud=cloud,
-                vehicle_pos=np.array(data.draw(st.tuples(coord, coord, coord)), dtype=np.float32),
-                bs_pos=np.array(data.draw(st.tuples(coord, coord, coord)), dtype=np.float32),
-                label=label,
-                powers=powers,
-            ))
-        ds = Dataset(meta=meta, samples=samples)
+    @given(ds=datasets())
+    def test_roundtrip_property(self, ds):
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "p.fbds")
             save_dataset(ds, path)
             assert load_dataset(path) == ds
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_files_match_oracle(self, data):
+        """A damaged file loads as the record-by-record oracle loads it, or
+        fails with the same class and message. The one difference allowed:
+        a powers flag of 2-255, which the oracle reads as 1."""
+        source = data.draw(st.sampled_from([None] + [c[0] for c in GOLDEN_CASES]), label="source")
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "c.fbds")
+            if source is None:
+                save_dataset(data.draw(datasets(), label="dataset"), path)
+            else:
+                path = os.path.join(GOLDEN_DIR, source)
+            with open(path, "rb") as f:
+                buf = bytearray(f.read())
+            corrupt(data, buf)
+            path = os.path.join(d, "c.fbds")
+            with open(path, "wb") as f:
+                f.write(buf)
+            got = load_outcome(load_dataset, path)
+            flag = (re.fullmatch(r"sample (\d+) has powers flag (\d+), expected 0 or 1 \(byte offset (\d+)\)",
+                                 got[1]) if isinstance(got, tuple) else None)
+            if flag is None:
+                assert got == load_outcome(load_dataset_naive, path)
+                return
+            k, value, at = map(int, flag.groups())
+            assert got[0] is IntegrityError and value == buf[at] and value >= 2
+            # the oracle meets no fault before that byte
+            with open(path, "wb") as f:
+                f.write(buf[: at - 2])
+            assert load_outcome(load_dataset_naive, path) == (
+                IntegrityError, f"file truncated while reading label/powers flag of sample {k} (byte offset {at - 2})")
+
+    @pytest.mark.parametrize("flag", [2, 7, 255])
+    def test_powers_flag_other_than_0_or_1_rejected(self, tmp_path, flag):
+        with open(os.path.join(GOLDEN_DIR, "synth_default.fbds"), "rb") as f:
+            buf = bytearray(f.read())
+        at = fbds_records(buf)[0]["flag"]
+        assert buf[at] == 1
+        buf[at] = flag
+        path = tmp_path / "flag.fbds"
+        path.write_bytes(buf)
+        with pytest.raises(IntegrityError, match=re.escape(
+                f"sample 0 has powers flag {flag}, expected 0 or 1 (byte offset {at})")):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("field", ["vehicle", "bs"])
+    def test_empty_cloud_fault_names_its_field(self, tmp_path, field):
+        with open(os.path.join(GOLDEN_DIR, "synth_no_obstacles.fbds"), "rb") as f:
+            buf = bytearray(f.read())
+        rec = fbds_records(buf)[2]
+        assert rec["n_points"] == 0
+        struct.pack_into("<f", buf, rec[field], np.nan)  # x, the float right after the cloud
+        path = tmp_path / "nan.fbds"
+        path.write_bytes(buf)
+        name = {"vehicle": "vehicle_pos", "bs": "bs_pos"}[field]
+        with pytest.raises(IntegrityError, match=f"^sample 2 violates invariants: {name} holds non-finite"):
+            load_dataset(path)
+        assert load_outcome(load_dataset_naive, path) == load_outcome(load_dataset, path)
+
+    def test_earlier_invariant_beats_later_truncation(self, tmp_path):
+        with open(os.path.join(GOLDEN_DIR, "synth_default.fbds"), "rb") as f:
+            buf = bytearray(f.read())
+        records = fbds_records(buf)
+        struct.pack_into("<f", buf, records[1]["powers"], -1.0)
+        path = tmp_path / "both.fbds"
+        path.write_bytes(buf[: records[3]["cloud"] + 5])
+        with pytest.raises(IntegrityError, match="^sample 1 violates invariants: powers must be finite"):
+            load_dataset(path)
+        # a trailing byte comes after every sample's invariants too
+        path.write_bytes(buf + b"x")
+        with pytest.raises(IntegrityError, match="^sample 1 violates invariants"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("name", [c[0] for c in GOLDEN_CASES])
+    def test_load_then_save_reproduces_golden_bytes(self, tmp_path, name):
+        golden = os.path.join(GOLDEN_DIR, name)
+        path = tmp_path / name
+        save_dataset(load_dataset(golden), path)
+        with open(golden, "rb") as f:
+            assert path.read_bytes() == f.read()
+
+    def test_loaded_arrays_are_float32_writable_and_disjoint(self):
+        ds = load_dataset(os.path.join(GOLDEN_DIR, "synth_12_obstacles.fbds"))
+        arrays = [a for s in ds.samples for a in (s.cloud, s.vehicle_pos, s.bs_pos, s.powers)]
+        assert all(a.dtype == np.float32 and a.flags.writeable for a in arrays)
+        assert [a.shape for a in arrays[1:4]] == [(3,), (3,), (ds.meta.n_pairs,)]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :])
+
+    def test_huge_declared_count_fails_in_small_memory(self, tmp_path):
+        ds = Dataset(meta=small_meta(), samples=[one_sample()])
+        path = tmp_path / "huge.fbds"
+        save_dataset(ds, path)
+        buf = bytearray(path.read_bytes())
+        struct.pack_into("<Q", buf, 42, 2**60)  # the sample count ends the 50-byte header
+        path.write_bytes(buf)
+        tracemalloc.start()
+        try:
+            with pytest.raises(IntegrityError, match="point count of sample 1"):
+                load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2**10
 
 
 class TestPartition:
@@ -311,6 +524,28 @@ class TestSynthetic:
         # both bounds are finite, but x_max - x_min or y_max - y_min is inf
         with pytest.raises(ValueError, match="area width and length must be finite"):
             SynthConfig(area=area)
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"area": (0, 1e39, 0, 100)}, "area"),
+        ({"area": (-3.5e38, 10, 0, 100)}, "area"),
+        ({"bs_pos": (-1e39, 50, 5)}, "bs_pos"),
+        ({"vehicle_height": 1e39}, "vehicle_height"),
+    ])
+    def test_values_beyond_float32_rejected(self, overrides, field):
+        # each is stored as float32, where it would become inf
+        with pytest.raises(ValueError, match=f"^{field} must stay finite as float32"):
+            SynthConfig(**overrides)
+
+    def test_meta_area_beyond_float32_rejected(self):
+        with pytest.raises(ValueError, match="^area must stay finite as float32"):
+            DatasetMeta(1, 1, 1, 1, 1, (0, 1e39, 0, 1), 0)
+
+    def test_float32_bound_matches_the_cast(self):
+        edge = 2.0**128 - 2.0**103
+        for v in (edge, np.nextafter(edge, 0), np.nextafter(edge, np.inf), float(np.finfo(np.float32).max)):
+            with np.errstate(over="ignore"):
+                fits = bool(np.isfinite(np.float32(v)))
+            assert is_float32(v) == is_float32(-v) == fits, v
 
     def test_street_wide_boxes_in_a_rounding_area(self):
         # 0.4 - (0.4 - 0.1) rounds below 0.1: a box clamped to the street's width
@@ -437,17 +672,6 @@ class TestIngest:
         self._write_minimal(d, 1, 4, **{key: value})
         with pytest.raises(IngestError, match=message):
             ingest_external(d)
-
-
-# Golden files written by the per-box geometry code before the one-pass clip
-# replaced it; regenerating each must reproduce it byte for byte. Never remake
-# them: a mismatch means a scene's bytes moved.
-GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data")
-GOLDEN_CASES = [
-    ("synth_default.fbds", {}, 16, 2021),
-    ("synth_12_obstacles.fbds", {"obstacles": 12, "point_spacing": 0.7}, 8, 2022),
-    ("synth_no_obstacles.fbds", {"obstacles": 0}, 4, 2023),
-]
 
 
 class TestGoldenFiles:
