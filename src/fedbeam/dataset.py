@@ -426,8 +426,6 @@ class SynthConfig:
         if not is_float32(self.vehicle_height):
             raise ValueError(f"vehicle_height must stay finite as float32, got {self.vehicle_height!r}")
         x0, x1, y0, y1 = self.area
-        if x1 <= x0 or y1 <= y0:
-            raise ValueError("area box is degenerate")
         if not (math.isfinite(float(x1) - float(x0)) and math.isfinite(float(y1) - float(y0))):
             raise ValueError(f"area width and length must be finite, got {self.area!r}")
         for name in ranges:
@@ -436,7 +434,10 @@ class SynthConfig:
                 raise ValueError(f"{name} must satisfy 0 < low <= high, got ({lo}, {hi})")
         if self.point_spacing <= 0:
             raise ValueError("point_spacing must be positive")
-        self.meta(0)  # the antenna and codebook counts obey the .fbds u16 bounds
+        # u16 antenna and codebook counts; the area as .fbds stores it, in float32
+        x0, x1, y0, y1 = self.meta(0).area
+        if x1 <= x0 or y1 <= y0:
+            raise ValueError(f"area box is degenerate as float32, got {self.area!r}")
 
     def meta(self, seed):
         return DatasetMeta(

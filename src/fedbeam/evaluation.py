@@ -6,7 +6,8 @@ K_max, the top-K accuracy and (when per-sample beam powers are available)
 the throughput ratio of the best pair inside the predicted set against the
 true optimum, both from channel.topk_accuracy/throughput_ratio over the
 (N, C) probability matrix. Both curves are non-decreasing in K and reach
-1.0 at K = C_t * C_r.
+1.0 at K = C_t * C_r. train_centralized runs each Adam epoch through
+fedavg._train_epoch, the mini-batch loop of FedAvg's local rounds.
 """
 
 import csv
@@ -18,8 +19,8 @@ import numpy as np
 
 from . import nn
 from .channel import throughput_ratio, topk_accuracy
-from .errors import NumericError, require_int, require_real
-from .fedavg import predict_proba, preprocess_dataset
+from .errors import require_int, require_real
+from .fedavg import _train_epoch, predict_proba, preprocess_dataset
 
 __all__ = [
     "CentralTrainConfig",
@@ -84,22 +85,18 @@ def train_centralized(cfg, spec, ds_train, grid, log_every=None):
     shuffle_rng = np.random.default_rng(shuffle_seq)
     adam = nn.AdamState.zeros(theta.shape[0])
 
-    n = len(labels)
+    def step(theta, grad):
+        nonlocal adam
+        adam, theta = nn.adam_step(adam, theta, grad, lr)
+        return theta
+
     for epoch in range(cfg.epochs):
         lr = cfg.lr * (cfg.lr_drop_factor if epoch >= cfg.lr_drop_epoch else 1.0)
-        order = shuffle_rng.permutation(n)
-        epoch_loss = 0.0
-        n_batches = 0
-        for b, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = order[start : start + cfg.batch_size]
-            loss, grad = nn.loss_and_grad(spec, theta, bn_state, inputs[idx], labels[idx])
-            if not np.isfinite(loss):
-                raise NumericError(f"training diverged at epoch {epoch}, batch {b}")
-            adam, theta = nn.adam_step(adam, theta, grad, lr)
-            epoch_loss += loss
-            n_batches += 1
+        order = shuffle_rng.permutation(len(labels))
+        theta, losses = _train_epoch(spec, theta, bn_state, inputs, labels, order, cfg.batch_size, step,
+                                     lambda b: f"training diverged at epoch {epoch}, batch {b}")
         if log_every and (epoch + 1) % log_every == 0:
-            print(f"epoch {epoch + 1}/{cfg.epochs}: mean loss {epoch_loss / n_batches:.4f}")
+            print(f"epoch {epoch + 1}/{cfg.epochs}: mean loss {sum(losses) / len(losses):.4f}")
     return theta, bn_state
 
 

@@ -1,9 +1,9 @@
 """Federated averaging over simulated vehicles.
 
-Each aggregation round: every vehicle copies the broadcast model, runs N_v
-local epochs of mini-batch SGD on its own partition (step size decaying as
-rho_0 * exp(-lambda * t) over its cumulative step count t), and uploads the
-parameter delta g_v. The server applies
+Each aggregation round: every vehicle starts from the broadcast model, runs
+N_v local epochs of mini-batch SGD on its own partition (step size decaying
+as rho_0 * exp(-lambda * t) over its cumulative step count t), and uploads
+the parameter delta g_v. The server applies
 
     theta <- theta + (mu / V) * sum_v g_v
 
@@ -26,8 +26,9 @@ The vehicles' local rounds run side by side, as do the eval-mode forward
 batches, on one thread per CPU in the process's affinity mask (`taskset`
 restricts them). The results do not depend on that count: each vehicle
 has its own RNG stream, the deltas are summed in vehicle order, and every
-eval batch writes its own rows. The centralized Adam steps stay
-sequential, since each one depends on the previous one.
+eval batch writes its own rows. Each local epoch is one _train_epoch, the
+mini-batch loop that evaluation.train_centralized runs its Adam epochs
+through as well; those stay sequential, each step needing the last.
 """
 
 import csv
@@ -93,11 +94,10 @@ class FedConfig:
 
 @dataclass
 class ClientState:
-    """One vehicle: its partition view, local parameters and RNG stream."""
+    """One vehicle: its partition view, batch-norm state and RNG stream."""
 
     vid: int
     indices: np.ndarray
-    theta: np.ndarray | None = None
     bn_state: nn.BatchNormState | None = None
     step_count: int = 0
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
@@ -204,35 +204,42 @@ def _wait_exited(threads):
             time.sleep(0)
 
 
-def _epoch_batches(order, batch_size):
-    for start in range(0, len(order), batch_size):
-        yield order[start : start + batch_size]
+def _train_epoch(spec, theta, bn_state, inputs, labels, order, batch_size, step, diverged):
+    """One epoch of mini-batch steps over the samples in `order`, short final
+    batch kept: theta = step(theta, grad) per batch, with bn_state's running
+    statistics updated in place. A non-finite loss at batch b raises
+    NumericError(diverged(b)). Returns (theta, the per-batch losses)."""
+    losses = []
+    for b, start in enumerate(range(0, len(order), batch_size)):
+        idx = order[start : start + batch_size]
+        loss, grad = nn.loss_and_grad(spec, theta, bn_state, inputs[idx], labels[idx])
+        if not np.isfinite(loss):
+            raise NumericError(diverged(b))
+        theta = step(theta, grad)
+        losses.append(loss)
+    return theta, losses
 
 
 def local_round(client, global_theta, global_bn, spec, inputs, labels, cfg):
-    """N_v local epochs of mini-batch SGD; returns the parameter delta.
-
-    Refreshes the client's model from the broadcast state, shuffles its
-    local indices once per epoch from its own RNG stream (short final batch
-    kept), and steps with rho_t = local_lr * exp(-lr_decay * t).
-    """
-    client.theta = global_theta.copy()
+    """N_v local epochs of mini-batch SGD from the broadcast state, the
+    client's indices reshuffled each epoch from its own RNG stream, with
+    rho_t = local_lr * exp(-lr_decay * t); returns the parameter delta."""
     client.bn_state = global_bn.copy()
+
+    def sgd(theta, grad):
+        theta = nn.sgd_step(theta, grad, cfg.local_lr * np.exp(-cfg.lr_decay * client.step_count))
+        client.step_count += 1
+        return theta
+
+    def diverged(_):
+        return f"vehicle {client.vid}: non-finite loss at local step {client.step_count}"
+
+    theta = global_theta
     for _ in range(cfg.local_epochs):
-        order = client.rng.permutation(len(client.indices))
-        for batch_order in _epoch_batches(order, cfg.batch_size):
-            idx = client.indices[batch_order]
-            loss, grad = nn.loss_and_grad(
-                spec, client.theta, client.bn_state, inputs[idx], labels[idx]
-            )
-            if not np.isfinite(loss):
-                raise NumericError(
-                    f"vehicle {client.vid}: non-finite loss at local step {client.step_count}"
-                )
-            rho = float(cfg.local_lr * np.exp(-cfg.lr_decay * client.step_count))
-            client.theta = nn.sgd_step(client.theta, grad, rho)
-            client.step_count += 1
-    return client.theta - global_theta
+        order = client.indices[client.rng.permutation(len(client.indices))]
+        theta, _ = _train_epoch(spec, theta, client.bn_state, inputs, labels, order,
+                                cfg.batch_size, sgd, diverged)
+    return theta - global_theta
 
 
 def aggregate(theta_prev, deltas, mu):
@@ -245,15 +252,6 @@ def aggregate(theta_prev, deltas, mu):
             raise ValueError(f"delta shape {g.shape} does not match theta {theta_prev.shape}")
         total += g
     return theta_prev + (mu / len(deltas)) * total
-
-
-def _evaluate_round(spec, theta, bn_state, test_inputs, test_labels, test_powers, k):
-    """Top-1 and top-k accuracy, the top-k throughput ratio (None without
-    powers) and the probability matrix they were read from."""
-    probs = predict_proba(spec, theta, bn_state, test_inputs)
-    acc = topk_accuracy(probs, test_labels, k)
-    ratio = None if test_powers is None else float(throughput_ratio(probs, test_powers, k)[k - 1])
-    return float(acc[0]), float(acc[k - 1]), ratio, probs
 
 
 def predict_proba(spec, theta, bn_state, inputs):
@@ -310,19 +308,19 @@ def run_federated(cfg, ds_train, ds_test, spec, grid, test_tensors=None):
         o_dl += n_params
         o_ul += cfg.vehicles * n_params
 
-        top1, acc, ratio, probs = _evaluate_round(
-            spec, theta, bn_state, test_inputs, test_labels, test_powers, k
-        )
+        probs = predict_proba(spec, theta, bn_state, test_inputs)
+        acc = topk_accuracy(probs, test_labels, k)
+        ratio = None if test_powers is None else float(throughput_ratio(probs, test_powers, k)[k - 1])
         logs.append(RoundLog(
             round_index=round_index,
-            top1_accuracy=top1,
-            topk_accuracy=acc,
+            top1_accuracy=float(acc[0]),
+            topk_accuracy=float(acc[k - 1]),
             throughput_ratio=ratio,
             o_ul=o_ul,
             o_dl=o_dl,
             wall_ms=(time.perf_counter() - t0) * 1e3,
         ))
-        if cfg.target_accuracy is not None and acc > cfg.target_accuracy:
+        if cfg.target_accuracy is not None and logs[-1].topk_accuracy > cfg.target_accuracy:
             break
 
     return theta, bn_state, logs, probs

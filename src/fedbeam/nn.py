@@ -620,15 +620,19 @@ def loss_and_grad(spec, theta, bn_state, batch, labels):
 # Optimizers
 
 
-def sgd_step(theta, grad, lr):
-    """theta - lr * grad; rejects non-finite gradients. Keeps theta's dtype."""
+def _check_grad(theta, grad):
     if theta.shape != grad.shape:
         raise ValueError(f"theta has shape {theta.shape}, grad {grad.shape}")
+    if not np.all(np.isfinite(grad)):
+        raise NumericError(f"non-finite gradient ({np.count_nonzero(~np.isfinite(grad))} entries)")
+
+
+def sgd_step(theta, grad, lr):
+    """theta - lr * grad; rejects non-finite gradients. Keeps theta's dtype."""
+    _check_grad(theta, grad)
     lr = float(lr)  # weak scalar: float32 parameters stay float32
     if lr <= 0:
         raise ValueError(f"step size must be positive, got {lr}")
-    if not np.all(np.isfinite(grad)):
-        raise NumericError(f"non-finite gradient ({np.count_nonzero(~np.isfinite(grad))} entries)")
     return theta - lr * grad
 
 
@@ -645,11 +649,8 @@ class AdamState:
 
 def adam_step(state, theta, grad, lr):
     """One bias-corrected Adam update; returns (new state, new theta)."""
-    if theta.shape != grad.shape:
-        raise ValueError(f"theta has shape {theta.shape}, grad {grad.shape}")
+    _check_grad(theta, grad)
     lr = float(lr)
-    if not np.all(np.isfinite(grad)):
-        raise NumericError(f"non-finite gradient ({np.count_nonzero(~np.isfinite(grad))} entries)")
     t = state.t + 1
     m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * grad
     v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * grad**2

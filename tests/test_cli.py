@@ -142,7 +142,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("mode, extra, train_passes", [
         ("federated", {}, 1),
-        ("central", {"n_runs": 2}, 3),  # the reported run plus two confidence runs
+        ("central", {"n_runs": 2}, 2),  # the reported run, reused as confidence run 0, and run 1
     ])
     def test_test_set_rasterized_once(self, tmp_path, monkeypatch, mode, extra, train_passes):
         # the round evals, the final report and the confidence runs share one

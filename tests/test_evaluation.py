@@ -14,7 +14,8 @@ from fedbeam.evaluation import (
     monte_carlo,
     train_centralized,
 )
-from fedbeam.nn import ArchitectureSpec, ConvSpec, init_params
+from fedbeam.fedavg import preprocess_dataset
+from fedbeam.nn import AdamState, ArchitectureSpec, ConvSpec, adam_step, init_params, loss_and_grad
 from fedbeam.preprocess import GridConfig
 
 
@@ -53,6 +54,37 @@ class TestTrainCentralized:
         t3, _ = train_centralized(CentralTrainConfig(epochs=2, batch_size=8, seed=8),
                                   spec, train, grid)
         assert np.any(t1 != t3)
+
+    def test_matches_independent_adam_loop(self, capsys):
+        """Adam over per-epoch reshuffles with the stepped rate, the short
+        final batch kept (20 scenes at batch 8: 8, 8, 4), bit for bit."""
+        _, grid, spec, train, _ = micro_world(n_train=20)
+        cfg = CentralTrainConfig(epochs=4, batch_size=8, lr=3e-3, lr_drop_factor=0.5, lr_drop_epoch=2, seed=9)
+        inputs, labels = preprocess_dataset(train, grid)
+        init_seq, shuffle_seq = np.random.SeedSequence(cfg.seed).spawn(2)
+        theta, bn = init_params(spec, init_seq)
+        rng = np.random.default_rng(shuffle_seq)
+        adam = AdamState.zeros(theta.shape[0])
+        mean_losses = []
+        for epoch in range(cfg.epochs):
+            lr = cfg.lr * (cfg.lr_drop_factor if epoch >= cfg.lr_drop_epoch else 1.0)
+            order = rng.permutation(len(labels))
+            losses = []
+            for start in range(0, len(order), cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                loss, grad = loss_and_grad(spec, theta, bn, inputs[idx], labels[idx])
+                adam, theta = adam_step(adam, theta, grad, lr)
+                losses.append(loss)
+            mean_losses.append(sum(losses) / len(losses))
+
+        theta_c, bn_c = train_centralized(cfg, spec, train, grid, log_every=2)
+        np.testing.assert_array_equal(theta_c, theta)
+        np.testing.assert_array_equal(bn_c.stat_vector(), bn.stat_vector())
+        assert adam.t == 12  # three batches an epoch: the short one is kept
+        assert capsys.readouterr().out.splitlines() == [
+            f"epoch 2/4: mean loss {mean_losses[1]:.4f}",
+            f"epoch 4/4: mean loss {mean_losses[3]:.4f}",
+        ]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_divergence_reports_epoch_and_batch(self):

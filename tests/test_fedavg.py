@@ -278,13 +278,18 @@ class TestLanes:
         """Vehicles 1 and 3 diverge: the round raises vehicle 1's error
         whichever lane hits its NaN first, and leaves no thread behind."""
         _, grid, spec, train, test = micro_world(n_train=60, n_test=8)
-        loss_and_grad = nn.loss_and_grad
+        loss_and_grad, round_of = nn.loss_and_grad, fedavg.local_round
+        lane = threading.local()  # the vehicle whose local round this thread runs
+
+        def tracking(client, *args):
+            lane.vid = client.vid
+            return round_of(client, *args)
 
         def diverging(*args):
             loss, grad = loss_and_grad(*args)
-            vid = sys._getframe(1).f_locals["client"].vid  # the calling local_round's
-            return (math.nan if vid in (1, 3) else loss), grad
+            return (math.nan if lane.vid in (1, 3) else loss), grad
 
+        monkeypatch.setattr(fedavg, "local_round", tracking)
         monkeypatch.setattr(nn, "loss_and_grad", diverging)
         cfg = FedConfig(vehicles=5, max_rounds=1, batch_size=4, accuracy_top_k=2)
         before = threading.active_count()

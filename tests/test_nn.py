@@ -469,9 +469,19 @@ class TestOptimizers:
         two = sgd_step(sgd_step(theta, g, 0.1), g, 0.1)
         np.testing.assert_allclose(two, theta - 0.2 * g, rtol=1e-7)
 
-    def test_sgd_rejects_non_finite(self):
-        with pytest.raises(NumericError):
-            sgd_step(np.array([1.0]), np.array([np.nan]), 0.1)
+    @pytest.mark.parametrize("step", [
+        pytest.param(lambda theta, grad: sgd_step(theta, grad, 0.1), id="sgd"),
+        pytest.param(lambda theta, grad: adam_step(AdamState.zeros(2, dtype=np.float64), theta, grad, 1e-3),
+                     id="adam"),
+    ])
+    @pytest.mark.parametrize("grad, error, message", [
+        pytest.param([1.0, np.nan], NumericError, r"^non-finite gradient \(1 entries\)$", id="non-finite"),
+        pytest.param([1.0, 2.0, 3.0], ValueError, r"^theta has shape \(2,\), grad \(3,\)$", id="shape"),
+    ])
+    def test_step_rejects_bad_gradient(self, step, grad, error, message):
+        # both step rules share one gradient check and its messages
+        with pytest.raises(error, match=message):
+            step(np.array([1.0, -2.0]), np.array(grad))
 
     def test_adam_first_step(self):
         state = AdamState.zeros(1, dtype=np.float64)
