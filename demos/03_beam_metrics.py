@@ -26,7 +26,7 @@ for y in (10.0, 50.0, 90.0):
           f"peak power {s.powers.max():.2f}")
 
 print("\nbeam-sweep view of the y=10 scene (rows: tx beams, columns: rx beams):")
-y_mat = synthesize_scene(cfg, (5.0, 10.0), [], cb).power_matrix(meta)
+y_mat = synthesize_scene(cfg, (5.0, 10.0), [], cb).powers.reshape(cfg.c_t, cfg.c_r)
 norm = y_mat / y_mat.max()
 for i, row in enumerate(norm):
     bar = "".join(" .:-=+*#"[min(int(v * 7.999), 7)] for v in row)

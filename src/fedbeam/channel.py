@@ -67,10 +67,6 @@ class BeamCodebook:
     def dft(cls, n_t, n_r, c_t, c_r):
         return cls(tx=dft_codebook(n_t, c_t), rx=dft_codebook(n_r, c_r))
 
-    @property
-    def n_pairs(self):
-        return self.tx.shape[0] * self.rx.shape[0]
-
 
 @dataclass(frozen=True)
 class ChannelSet:

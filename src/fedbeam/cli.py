@@ -133,8 +133,8 @@ def _parse_dataset(ds):
     return DataSource(kind, *pair)
 
 
-def load_experiment_config(path, seed_override=None):
-    """Parse and fully validate an experiment config document."""
+def _read_config(path):
+    """The config document's top-level object, its version checked."""
     try:
         with open(path) as f:
             raw = json.load(f)
@@ -146,11 +146,20 @@ def load_experiment_config(path, seed_override=None):
     _require(isinstance(raw, dict), "config", "top level must be an object")
     _require(raw.get("version") == CONFIG_VERSION,
              "version", f"must be {CONFIG_VERSION}, got {raw.get('version')!r}")
-    dataset = _parse_dataset(raw.get("dataset"))
+    return raw
 
+
+def _parse_grid(raw):
     grid_raw = raw.get("grid", "default")
     with _field("grid"):
-        grid = default_grid() if grid_raw == "default" else GridConfig.from_dict(grid_raw)
+        return default_grid() if grid_raw == "default" else GridConfig.from_dict(grid_raw)
+
+
+def load_experiment_config(path, seed_override=None):
+    """Parse and fully validate an experiment config document."""
+    raw = _read_config(path)
+    dataset = _parse_dataset(raw.get("dataset"))
+    grid = _parse_grid(raw)
     arch = raw.get("architecture", "default")
     with _field("architecture"):
         spec = None if arch == "default" else nn.ArchitectureSpec.from_dict(arch)
@@ -259,6 +268,10 @@ def cmd_train(args):
         raise ConfigError("dataset: training set is empty")
     if len(test) == 0:
         raise ConfigError("dataset: test set is empty (needed for evaluation)")
+    codebooks = [(ds.meta.c_t, ds.meta.c_r) for ds in (train, test)]
+    if codebooks[0] != codebooks[1]:
+        raise ConfigError(f"dataset: test set codebook (c_t, c_r) = {codebooks[1]} "
+                          f"does not match the training set's {codebooks[0]}")
     spec = _resolve_spec(cfg, train.meta.n_pairs)
     report_path, sweep_path, ckpt_path, rounds_path = _report_paths(out)
     # the test set is rasterized once, for every eval of this command
@@ -329,8 +342,8 @@ def cmd_eval(args):
     out = _resolve_out(None, args.out)
     spec, theta, bn_state = nn.load_checkpoint(args.checkpoint)
     ds = load_dataset(args.dataset)
-    if args.config:
-        grid = load_experiment_config(args.config).grid
+    if args.config:  # only the grid is read
+        grid = _parse_grid(_read_config(args.config))
     else:
         grid = _grid_for(ds.meta, spec)
     report = evaluate(theta, bn_state, spec, ds, grid, args.k_max)

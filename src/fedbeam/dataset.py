@@ -58,6 +58,12 @@ log = logging.getLogger(__name__)
 
 MAX_CLOUD_POINTS = 2**20
 SPEED_OF_LIGHT = 299_792_458.0
+# the synthetic channel: subcarrier spacing, line-of-sight path gain, and a
+# reflected path's gain REFLECTION_GAIN / (1 + length / REFLECTION_FALLOFF_M)
+SUBCARRIER_SPACING_HZ = 120e3
+LOS_GAIN = 1.0
+REFLECTION_GAIN = 0.3
+REFLECTION_FALLOFF_M = 50.0
 
 _MAGIC = b"FBDS"
 _VERSION = 1
@@ -162,12 +168,6 @@ class Sample:
             and np.array_equal(self.bs_pos, other.bs_pos)
             and (self.powers is None or np.array_equal(self.powers, other.powers))
         )
-
-    def power_matrix(self, meta):
-        """Powers reshaped to (C_t, C_r), or None."""
-        if self.powers is None:
-            return None
-        return self.powers.reshape(meta.c_t, meta.c_r)
 
 
 @dataclass(frozen=True)
@@ -401,10 +401,6 @@ class SynthConfig:
     n_c: int = 16
     c_t: int = 16
     c_r: int = 4
-    subcarrier_spacing_hz: float = 120e3
-    los_gain: float = 1.0
-    reflection_gain: float = 0.3
-    reflection_falloff_m: float = 50.0
     max_retries: int = 100
 
     def __post_init__(self):
@@ -416,8 +412,7 @@ class SynthConfig:
             if not (isinstance(v, (tuple, list, np.ndarray)) and len(v) == count
                     and all(map(is_finite_real, v))):
                 raise ValueError(f"{name} must hold {count} finite numbers, got {v!r}")
-        for name in ("vehicle_height", "point_spacing", "subcarrier_spacing_hz",
-                     "los_gain", "reflection_gain", "reflection_falloff_m"):
+        for name in ("vehicle_height", "point_spacing"):
             if not is_finite_real(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         # every sample stores these as float32
@@ -452,13 +447,14 @@ class SynthConfig:
 # Segment-box pairs clipped per block in _blocked: bounds its temporaries
 # (a few MiB) however many boxes and perimeter points a scene has.
 _CLIP_PAIRS = 2**16
+_FACE_SHRINK = 1e-9  # metres _blocked takes off every side of a box
 
 
-def _blocked(origins, targets, boxes, shrink=1e-9):
+def _blocked(origins, targets, boxes):
     """For segments origins[k] -> targets[k]: does any cross the open interior
     of any of the (n, 4) boxes (rows x0, x1, y0, y1)?
 
-    Liang-Barsky clipping against each box shrunk by `shrink`, so segments
+    Liang-Barsky clipping against each box shrunk by _FACE_SHRINK, so segments
     that merely touch a face (e.g. end on it) do not count as blocked. Every
     segment meets every box in one broadcast, taken in row blocks of about
     _CLIP_PAIRS segment-box pairs.
@@ -467,7 +463,8 @@ def _blocked(origins, targets, boxes, shrink=1e-9):
     if len(boxes) == 0:
         return mask
     d = targets - origins
-    bounds = ((boxes[:, 0] + shrink, boxes[:, 1] - shrink), (boxes[:, 2] + shrink, boxes[:, 3] - shrink))
+    e = _FACE_SHRINK
+    bounds = ((boxes[:, 0] + e, boxes[:, 1] - e), (boxes[:, 2] + e, boxes[:, 3] - e))
     rows = max(1, _CLIP_PAIRS // len(boxes))
     with np.errstate(divide="ignore", invalid="ignore"):
         for s in range(0, len(origins), rows):
@@ -562,7 +559,7 @@ def _scene_geometry(cfg, vehicle_xy, boxes):
         d = veh - bs
         length = float(np.linalg.norm(d))
         s = d[1] / length
-        paths.append((cfg.los_gain, length, s, s))
+        paths.append((LOS_GAIN, length, s, s))
     clear = ~(blocked[n_p + 1 : n_p + 1 + n_h] | blocked[n_p + 1 + n_h :])
     for hit in hits[clear]:
         leg1 = float(np.linalg.norm(hit - bs[:2]))
@@ -574,7 +571,7 @@ def _scene_geometry(cfg, vehicle_xy, boxes):
         # unfolded path: horizontal speed is flat_len/length of the 3-D rate
         s_t = (hit[1] - bs[1]) / leg1 * (flat_len / length)
         s_r = (veh[1] - hit[1]) / leg2 * (flat_len / length)
-        gain = cfg.reflection_gain / (1.0 + length / cfg.reflection_falloff_m)
+        gain = REFLECTION_GAIN / (1.0 + length / REFLECTION_FALLOFF_M)
         paths.append((gain, length, s_t, s_r))
     return cloud, paths
 
@@ -588,7 +585,7 @@ def _paths_to_channel(cfg, paths):
         tau = length / SPEED_OF_LIGHT
         a_t = np.exp(1j * np.pi * m_t * s_t) / math.sqrt(cfg.n_t)
         a_r = np.exp(1j * np.pi * m_r * s_r) / math.sqrt(cfg.n_r)
-        carrier = np.exp(-2j * np.pi * n_idx * tau * cfg.subcarrier_spacing_hz)
+        carrier = np.exp(-2j * np.pi * n_idx * tau * SUBCARRIER_SPACING_HZ)
         h += gain * carrier[:, None, None] * np.outer(a_r, a_t.conj())[None, :, :]
     return ChannelSet(h=h)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import nn
 from .channel import throughput_ratio, topk_accuracy
-from .errors import require_int, require_real
+from .errors import IntegrityError, require_int, require_real
 from .fedavg import _train_epoch, predict_proba, preprocess_dataset
 
 __all__ = [
@@ -162,18 +162,20 @@ def evaluate(theta, bn_state, spec, ds_test, grid, k_max=None, test_tensors=None
     the caller, and saves rasterizing the test set again. probs, when
     given, is predict_proba of (theta, bn_state) over the test set made by
     the caller (the last round eval of run_federated), and saves the
-    forward pass.
+    forward pass. A model whose class count is not the test set's number of
+    beam pairs raises IntegrityError before either.
     """
     if len(ds_test) == 0:
         raise ValueError("test dataset is empty")
     n_classes = spec.n_classes
+    if n_classes != ds_test.meta.n_pairs:
+        raise IntegrityError(f"model has {n_classes} classes, dataset has "
+                             f"{ds_test.meta.n_pairs} beam pairs")
     k_max = n_classes if k_max is None else min(k_max, n_classes)
     labels = ds_test.labels()
     if probs is None:
         inputs, _ = preprocess_dataset(ds_test, grid) if test_tensors is None else test_tensors
         probs = predict_proba(spec, theta, bn_state, inputs)
-    if probs.shape[1] != n_classes:
-        raise ValueError(f"model emits {probs.shape[1]} classes, dataset has {n_classes}")
     powers = ds_test.powers()
     return EvalReport(
         k_values=np.arange(1, k_max + 1),

@@ -23,10 +23,11 @@ partition_uniform sizes differ by up to one sample, and neither average
 weights a client by its local dataset size.
 
 The vehicles' local rounds run side by side, as do the eval-mode forward
-batches, on one thread per CPU in the process's affinity mask (`taskset`
-restricts them). The results do not depend on that count: each vehicle
-has its own RNG stream, the deltas are summed in vehicle order, and every
-eval batch writes its own rows. Each local epoch is one _train_epoch, the
+calls over nn.EVAL_BATCH slices, nn.forward's own eval batching, on one
+thread per CPU in the process's affinity mask (`taskset` restricts them).
+The results do not depend on that count: each vehicle has its own RNG
+stream, the deltas are summed in vehicle order, and every eval slice
+writes its own rows. Each local epoch is one _train_epoch, the
 mini-batch loop that evaluation.train_centralized runs its Adam epochs
 through as well; those stay sequential, each step needing the last.
 """
@@ -57,13 +58,6 @@ __all__ = [
     "write_round_csv",
     "preprocess_dataset",
 ]
-
-# Eval-mode forward batch. predict_proba over 600 default scenes (batch norm
-# folded, 2 CPUs, best of 8 in each of two sweeps) took 168/157, 148/156,
-# 193/195, 226/234 and 342/348 ms at B = 8, 16, 32, 64 and 256; the batching
-# moves eval-mode outputs only by rounding.
-EVAL_BATCH = 16
-
 
 @dataclass
 class FedConfig:
@@ -255,14 +249,16 @@ def aggregate(theta_prev, deltas, mu):
 
 
 def predict_proba(spec, theta, bn_state, inputs):
-    """Eval-mode class probabilities over a whole dataset, in sample order;
-    the EVAL_BATCH slices run on every CPU, each into its own rows."""
+    """Eval-mode class probabilities over a whole dataset, in sample order:
+    nn.forward of every nn.EVAL_BATCH slice, the slices run on every CPU,
+    each into its own rows. Equal to one nn.forward of all the inputs."""
+    b = nn.EVAL_BATCH
     probs = np.empty((len(inputs), spec.n_classes), dtype=theta.dtype)
 
     def fill(s):
-        probs[s : s + EVAL_BATCH] = nn.forward(spec, theta, bn_state, inputs[s : s + EVAL_BATCH], mode="eval")
+        probs[s : s + b] = nn.forward(spec, theta, bn_state, inputs[s : s + b], mode="eval")
 
-    _on_all_cpus(fill, range(0, len(inputs), EVAL_BATCH))
+    _on_all_cpus(fill, range(0, len(inputs), b))
     return probs
 
 

@@ -13,11 +13,12 @@ of batch norm. No autodiff framework is involved, which keeps the trainable
 state small enough to ship around in a federated setting.
 
 In eval mode batch norm reads the running statistics, a fixed per-channel
-affine map, so forward folds it into each conv's weights and bias and runs
-the conv followed by PReLU. The eval conv keeps no column matrix, so it
-builds one for at most _EVAL_COL_SAMPLES samples at a time and applies
-PReLU straight into the next conv's padded input: a large batch then holds
-two activations at a time, not column matrices nine times their size.
+affine map, so forward folds it into each conv's weights and bias once per
+call and runs the conv followed by PReLU. Eval keeps nothing for a
+backward, so forward runs the whole layer stack over EVAL_BATCH samples at
+a time, PReLU writing straight into the next conv's padded input: a large
+batch holds one slice's activations and column matrices at a time, and its
+probabilities equal those of its slices evaluated one by one, to the bit.
 
 The train step keeps batch norm as its own pass, since the backward needs
 its normalized activations. PReLU runs without np.where in both
@@ -72,7 +73,10 @@ PRELU_INIT = 0.25
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-_EVAL_COL_SAMPLES = 16  # samples per column matrix in the eval conv
+# Eval-mode forward slice. predict_proba over 600 default scenes (batch norm
+# folded, 2 CPUs, best of 8 in each of two sweeps) took 168/157, 148/156,
+# 193/195, 226/234 and 342/348 ms at B = 8, 16, 32, 64 and 256.
+EVAL_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -369,22 +373,6 @@ def _conv_forward(xp, w, b, conv):
     return out.reshape(n_out, bsz, out_h, out_w), cols
 
 
-def _conv_prelu_eval(xp, w, b, slope, conv, out):
-    """PReLU of _conv_forward's output, written into out (O, B, oh, ow),
-    with the column matrix built for at most _EVAL_COL_SAMPLES samples at
-    a time. Every sample's GEMM is the one _conv_forward runs, so the
-    result is the same to the bit.
-
-    At B=256 conv1's whole column matrix is 46 MB, and a separate conv0
-    output would be 20 MB. glibc serves a block that size from its heap
-    when earlier work left that much free there and from a fresh mapping
-    otherwise, so the process's peak memory would turn on what ran before.
-    """
-    g = _EVAL_COL_SAMPLES
-    for s in range(0, xp.shape[1], g):
-        _prelu(_conv_forward(xp[:, s : s + g], w, b, conv)[0], slope, out=out[:, s : s + g])
-
-
 def _conv_backward(dout, cols, w, conv, in_shape, need_dx=True):
     n_out, bsz, out_h, out_w = dout.shape
     dmat = dout.reshape(n_out, -1)
@@ -424,14 +412,48 @@ def _softmax(logits):
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _head(spec, theta, layout, flat):
+    """linear1 and ReLU (when the spec has a hidden layer), then linear2 and
+    softmax, over flattened conv features. Returns (probs, linear1's
+    pre-activation or None, linear2's input)."""
+    h, pre = flat, None
+    if spec.hidden is not None:
+        pre = h @ layout.view(theta, "linear1.weight").T + layout.view(theta, "linear1.bias")
+        h = np.maximum(pre, 0)
+    logits = h @ layout.view(theta, "linear2.weight").T + layout.view(theta, "linear2.bias")
+    return _softmax(logits), pre, h
+
+
+def _flatten(x):
+    """(C, B, H, W) activations to (B, C*H*W), keeping (C, H, W) ordering per
+    sample to match the layout table."""
+    return x.transpose(1, 0, 2, 3).reshape(x.shape[1], -1)
+
+
+def _forward_eval(spec, theta, layout, folded, batch):
+    """Eval-mode probabilities of a (B, 1, H, W) batch, each conv run with
+    its folded (weight, bias) and PReLU'd straight into the next conv's
+    padded input."""
+    pads = [conv.padding for conv in spec.convs] + [0]
+    shapes = spec.feature_shapes()
+    xp, x = _padded(1, len(batch), *spec.input_shape, pads[0], theta.dtype)
+    x[...] = batch.transpose(1, 0, 2, 3)
+    for k, (conv, (w, b)) in enumerate(zip(spec.convs, folded)):
+        c_out, h_out, w_out = shapes[k + 1]
+        xp_next, x = _padded(c_out, len(batch), h_out, w_out, pads[k + 1], theta.dtype)
+        _prelu(_conv_forward(xp, w, b, conv)[0], layout.view(theta, f"prelu{k}.slope"), out=x)
+        xp = xp_next
+    return _head(spec, theta, layout, _flatten(x))[0]
+
+
 def forward(spec, theta, bn_state, batch, mode="eval"):
     """Class probabilities for a batch of shape (B, 1, H, W).
 
     Train mode normalizes with batch statistics (needs B >= 2) and folds
     them into the running statistics; it also returns the cache needed by
     the backward pass. Eval mode uses the running statistics, folded into
-    the conv weights on every call, and is a pure function of (theta,
-    bn_state, batch).
+    the conv weights on every call, runs EVAL_BATCH samples at a time, and
+    is a pure function of (theta, bn_state, batch).
     """
     if spec.n_classes is None:
         raise ValueError("spec has no output layer (n_classes is None)")
@@ -448,11 +470,26 @@ def forward(spec, theta, bn_state, batch, mode="eval"):
     if theta.shape != (layout.total,):
         raise ValueError(f"theta has {theta.shape[0]} entries, spec needs {layout.total}")
     dtype = theta.dtype
+
+    if mode == "eval":
+        # running-stat BN is a fixed per-channel affine map, so it folds
+        # into the conv: w' = w*scale, b' = (b - mu)*scale + beta
+        folded = []
+        for k in range(len(spec.convs)):
+            inv = 1.0 / np.sqrt(bn_state.variances[k].astype(dtype) + BN_EPS)
+            scale = layout.view(theta, f"bn{k}.scale") * inv
+            b = layout.view(theta, f"conv{k}.bias")
+            folded.append((layout.view(theta, f"conv{k}.weight") * scale[:, None, None, None],
+                           (b - bn_state.means[k].astype(dtype)) * scale + layout.view(theta, f"bn{k}.shift")))
+        probs = np.empty((batch.shape[0], spec.n_classes), dtype=dtype)
+        for s in range(0, batch.shape[0], EVAL_BATCH):
+            probs[s : s + EVAL_BATCH] = _forward_eval(spec, theta, layout, folded, batch[s : s + EVAL_BATCH])
+        return probs
+
     # channels-first internal layout: (C, B, H, W). Each conv reads a zeroed
     # buffer padded for it (xp), and the layer before it writes straight
     # into the buffer's interior (x)
     pads = [conv.padding for conv in spec.convs] + [0]
-    shapes = spec.feature_shapes()
     xp, x = _padded(1, batch.shape[0], *spec.input_shape, pads[0], dtype)
     x[...] = batch.transpose(1, 0, 2, 3)
     cache = {"layout": layout, "convs": []}
@@ -463,18 +500,6 @@ def forward(spec, theta, bn_state, batch, mode="eval"):
         gamma = layout.view(theta, f"bn{k}.scale")
         beta = layout.view(theta, f"bn{k}.shift")
         slope = layout.view(theta, f"prelu{k}.slope")
-
-        if mode == "eval":
-            # running-stat BN is a fixed per-channel affine map, so it folds
-            # into the conv: w' = w*scale, b' = (b - mu)*scale + beta
-            inv = 1.0 / np.sqrt(bn_state.variances[k].astype(dtype) + BN_EPS)
-            scale = gamma * inv
-            b_fold = (b - bn_state.means[k].astype(dtype)) * scale + beta
-            c_out, h_out, w_out = shapes[k + 1]
-            xp_out, x = _padded(c_out, x.shape[1], h_out, w_out, pads[k + 1], dtype)
-            _conv_prelu_eval(xp, w * scale[:, None, None, None], b_fold, slope, conv, out=x)
-            xp = xp_out
-            continue
 
         entry = {"conv": conv, "in_shape": x.shape}
         z, cols = _conv_forward(xp, w, b, conv)
@@ -507,26 +532,10 @@ def forward(spec, theta, bn_state, batch, mode="eval"):
         entry.update(inv=inv, xhat=xhat, bn_out=bn_out)
         cache["convs"].append(entry)
 
-    # flatten keeps (C, H, W) ordering per sample, matching the layout table
-    flat = x.transpose(1, 0, 2, 3).reshape(x.shape[1], -1)
-    cache["flat_in"] = flat
+    cache["flat_in"] = _flatten(x)
     cache["conv_out_shape"] = x.shape
-    h = flat
-    if spec.hidden is not None:
-        w1 = layout.view(theta, "linear1.weight")
-        b1 = layout.view(theta, "linear1.bias")
-        pre = h @ w1.T + b1
-        h = np.maximum(pre, 0)
-        cache["linear1_pre"] = pre
-    w2 = layout.view(theta, "linear2.weight")
-    b2 = layout.view(theta, "linear2.bias")
-    logits = h @ w2.T + b2
-    probs = _softmax(logits)
-    cache["head_in"] = h
-
-    if mode == "train":
-        return probs, cache
-    return probs
+    probs, cache["linear1_pre"], cache["head_in"] = _head(spec, theta, layout, cache["flat_in"])
+    return probs, cache
 
 
 def loss_and_grad(spec, theta, bn_state, batch, labels):
@@ -684,27 +693,8 @@ def save_checkpoint(spec, theta, bn_state, path):
         f.write(stats.astype("<f4").tobytes())
 
 
-def _spec_mismatch(expected, found):
-    for k, (a, b) in enumerate(zip(expected.convs, found.convs)):
-        if a != b:
-            return f"conv {k}: expected {a}, checkpoint has {b}"
-    if len(expected.convs) != len(found.convs):
-        return f"expected {len(expected.convs)} conv layers, checkpoint has {len(found.convs)}"
-    if expected.input_shape != found.input_shape:
-        return f"input {expected.input_shape} vs checkpoint {found.input_shape}"
-    if expected.hidden != found.hidden:
-        return f"linear1: expected hidden={expected.hidden}, checkpoint has {found.hidden}"
-    if expected.n_classes != found.n_classes:
-        return f"linear2: expected n_classes={expected.n_classes}, checkpoint has {found.n_classes}"
-    return None
-
-
-def load_checkpoint(path, expect_spec=None):
-    """Read a checkpoint; returns (spec, theta, bn_state).
-
-    With expect_spec given, an incompatible checkpoint raises IntegrityError
-    naming the first mismatching layer.
-    """
+def load_checkpoint(path):
+    """Read a checkpoint; returns (spec, theta, bn_state)."""
     r = BoundedReader(path, _CKPT_MAGIC, _CKPT_VERSION)
     r.header = False
     (spec_len,) = r.unpack("<I", "spec length")
@@ -713,11 +703,6 @@ def load_checkpoint(path, expect_spec=None):
         spec = ArchitectureSpec.from_dict(json.loads(spec_json.decode("utf-8")))
     except (ValueError, KeyError, TypeError) as e:
         raise IntegrityError(f"checkpoint spec JSON is invalid: {e}") from e
-
-    if expect_spec is not None:
-        mismatch = _spec_mismatch(expect_spec, spec)
-        if mismatch:
-            raise IntegrityError(f"checkpoint does not match the expected architecture: {mismatch}")
 
     layout = build_layout(spec)
     (n_params,) = r.unpack("<Q", "param count")

@@ -15,7 +15,23 @@ from hypothesis import strategies as st
 
 from fedbeam import cli, evaluation, fedavg
 from fedbeam.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
-from fedbeam.dataset import Dataset, Sample, export_exchange, load_dataset
+from fedbeam.dataset import (
+    Dataset,
+    Sample,
+    SynthConfig,
+    export_exchange,
+    generate_synthetic,
+    load_dataset,
+    save_dataset,
+)
+from fedbeam.errors import (
+    FedBeamError,
+    FormatError,
+    IngestError,
+    IntegrityError,
+    MetricUnavailableError,
+    NumericError,
+)
 from fedbeam.evaluation import CentralTrainConfig, evaluate, train_centralized
 from fedbeam.nn import ArchitectureSpec, count_flops, count_params, default_architecture
 from fedbeam.preprocess import GridConfig
@@ -67,6 +83,24 @@ def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def write_micro_set(path, n, c_r, powers=True, seed=0):
+    """A micro-config synthetic set of n scenes with c_t * c_r = 4 * c_r beam
+    pairs, saved with or without its beam powers."""
+    synth = micro_config()["dataset"]["synthetic"]
+    cfg = SynthConfig(**{k: tuple(v) if isinstance(v, list) else v
+                         for k, v in synth.items() if k not in ("n_train", "n_test")} | {"c_r": c_r})
+    ds = generate_synthetic(cfg, n, seed=seed)
+    if not powers:
+        ds = Dataset(meta=ds.meta, samples=[Sample(s.cloud, s.vehicle_pos, s.bs_pos, s.label, None)
+                                            for s in ds.samples])
+    save_dataset(ds, path)
+    return str(path)
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("reached")
 
 
 class TestSynth:
@@ -374,6 +408,36 @@ class TestTrain:
         assert capsys.readouterr().err.startswith(f"error: dataset.synthetic: {key} ")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("key", ["subcarrier_spacing_hz", "los_gain", "reflection_gain",
+                                     "reflection_falloff_m"])
+    def test_removed_synthetic_field_exit_2(self, tmp_path, capsys, key):
+        """The channel constants are not config fields: naming one is a
+        config error (Python's message names the field at its end)."""
+        bad = micro_config()
+        bad["dataset"]["synthetic"][key] = 1.0
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["synth", "--config", write_config(tmp_path, bad), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset.synthetic: ") and f"keyword argument '{key}'" in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("mode", ["central", "federated"])
+    def test_codebook_mismatch_exit_2_before_training(self, tmp_path, capsys, monkeypatch, mode):
+        # an 8-pair training set with a 16-pair test set: was exit 0 without
+        # test powers, and exit 3 after all the training with them
+        monkeypatch.setattr(cli, "train_centralized", forbidden)
+        monkeypatch.setattr(cli, "run_federated", forbidden)
+        cfg = micro_config(mode)
+        cfg["dataset"] = {"train_file": write_micro_set(tmp_path / "train.fbds", 20, 2),
+                          "test_file": write_micro_set(tmp_path / "test.fbds", 6, 4, seed=1)}
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["train", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            "error: dataset: test set codebook (c_t, c_r) = (4, 4) does not match the training set's (4, 2)")
+        assert list(out.iterdir()) == []
+
     def test_mistyped_exchange_meta_exit_3(self, tmp_path, capsys):
         exch = tmp_path / "exch"
         export_exchange(load_dataset(GOLDEN_FBDS), exch)
@@ -438,8 +502,6 @@ class TestEval:
         assert len(lines) == 2
 
     def test_dataset_without_powers_reports_na(self, tmp_path, capsys):
-        from fedbeam.dataset import save_dataset
-
         cfg_path, out = self._train(tmp_path)
         test = load_dataset(out / "test.fbds")
         stripped = Dataset(
@@ -502,12 +564,72 @@ class TestEval:
                      "--out", str(tmp_path)]) == EXIT_DATA
         assert "checkpoint spec JSON is invalid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("powers", [True, False])
+    def test_class_count_mismatch_exit_3_before_forward(self, tmp_path, capsys, monkeypatch, powers):
+        # an 8-class checkpoint on a 16-pair set: was exit 0 with top-K
+        # accuracy 0.0 without powers, and exit 3 after the forward pass with them
+        cfg_path, out = self._train(tmp_path)
+        monkeypatch.setattr(evaluation, "preprocess_dataset", forbidden)
+        monkeypatch.setattr(evaluation, "predict_proba", forbidden)
+        eval_out = tmp_path / "eval_out"
+        eval_out.mkdir()
+        assert main(["eval", "--checkpoint", str(out / "model.fbnn"),
+                     "--dataset", write_micro_set(tmp_path / "wide.fbds", 6, 4, powers),
+                     "--out", str(eval_out)]) == EXIT_DATA
+        assert "model has 8 classes, dataset has 16 beam pairs" in capsys.readouterr().err
+        assert list(eval_out.iterdir()) == []
+
+    def test_config_supplies_only_the_grid(self, tmp_path):
+        # training files that no longer exist: was exit 2 naming dataset.train_file
+        cfg_path, out = self._train(tmp_path)
+        cfg = micro_config()
+        cfg["dataset"] = {"train_file": str(tmp_path / "gone.fbds"), "test_file": str(tmp_path / "gone.fbds")}
+        eval_out = tmp_path / "eval_out"
+        eval_out.mkdir()
+        assert main(["eval", "--checkpoint", str(out / "model.fbnn"), "--dataset", str(out / "test.fbds"),
+                     "--k-max", "4", "--config", write_config(tmp_path, cfg, "eval.json"),
+                     "--out", str(eval_out)]) == EXIT_OK
+        assert (eval_out / "sweep.csv").read_bytes() == (out / "sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("grid, version", [({"cells_x": 6}, 1), ("default", 2)])
+    def test_config_bad_grid_or_version_exit_2(self, tmp_path, capsys, grid, version):
+        cfg_path, out = self._train(tmp_path)
+        cfg = micro_config(version=version, grid=grid)
+        eval_out = tmp_path / "eval_out"
+        eval_out.mkdir()
+        assert main(["eval", "--checkpoint", str(out / "model.fbnn"), "--dataset", str(out / "test.fbds"),
+                     "--config", write_config(tmp_path, cfg, "eval.json"),
+                     "--out", str(eval_out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: grid: " if version == 1 else "error: version: ")
+        assert list(eval_out.iterdir()) == []
+
     def test_corrupt_dataset_exit_3(self, tmp_path):
         cfg_path, out = self._train(tmp_path)
         bad = tmp_path / "bad.fbds"
         bad.write_bytes(b"FBDSgarbage")
         assert main(["eval", "--checkpoint", str(out / "model.fbnn"),
                      "--dataset", str(bad), "--out", str(out)]) == EXIT_DATA
+
+
+EXIT_CASES = [(FormatError, 3), (IntegrityError, 3), (IngestError, 3), (MetricUnavailableError, 3),
+              (NumericError, 4), (cli.ConfigError, 2), (ValueError, 3), (OSError, 3)]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error, code", EXIT_CASES, ids=[e.__name__ for e, _ in EXIT_CASES])
+    def test_error_maps_to_documented_exit_code(self, monkeypatch, capsys, error, code):
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "cmd_flops", fail)
+        assert main(["flops"]) == code
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_every_package_error_is_covered(self):
+        def subclasses(cls):
+            return {c for s in cls.__subclasses__() for c in (s, *subclasses(s))}
+
+        assert subclasses(FedBeamError) <= {e for e, _ in EXIT_CASES}
 
 
 def _rounds_without_wall(path):
