@@ -4,7 +4,8 @@ Configuration is a single versioned JSON document, parsed once into the
 objects the commands run on. Every subcommand validates its inputs before
 writing any file, and two invocations with the same config and seeds emit
 identical artifacts (rounds.csv wall-time column aside). Exit codes: 0
-success, 2 config error, 3 data error, 4 numeric divergence.
+success, 2 config error, 3 data error or out of memory, 4 numeric
+divergence.
 """
 
 import argparse
@@ -341,10 +342,12 @@ def cmd_eval(args):
     _path(args.dataset, "dataset")
     out = _resolve_out(None, args.out)
     spec, theta, bn_state = nn.load_checkpoint(args.checkpoint)
-    ds = load_dataset(args.dataset)
-    if args.config:  # only the grid is read
+    if args.config:  # only the grid is read, and checked before any data
         grid = _parse_grid(_read_config(args.config))
-    else:
+        _require(grid.shape == spec.input_shape, "grid",
+                 f"{grid.shape} does not match the checkpoint's input_shape {spec.input_shape}")
+    ds = load_dataset(args.dataset)
+    if not args.config:
         grid = _grid_for(ds.meta, spec)
     report = evaluate(theta, bn_state, spec, ds, grid, args.k_max)
     report.to_json(os.path.join(out, "report.json"))
@@ -427,6 +430,9 @@ def main(argv=None):
         return EXIT_NUMERIC
     except (FedBeamError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError:
+        print(f"error: out of memory in {args.command}", file=sys.stderr)
         return EXIT_DATA
 
 

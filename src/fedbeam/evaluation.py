@@ -1,13 +1,14 @@
 """Centralized training reference, K-sweep evaluation, confidence intervals.
 
-evaluate() runs one eval-mode forward pass per test sample (or takes the
-probabilities of one the caller already ran) and reports, for every K up to
-K_max, the top-K accuracy and (when per-sample beam powers are available)
-the throughput ratio of the best pair inside the predicted set against the
-true optimum, both from channel.topk_accuracy/throughput_ratio over the
-(N, C) probability matrix. Both curves are non-decreasing in K and reach
-1.0 at K = C_t * C_r. train_centralized runs each Adam epoch through
-fedavg._train_epoch, the mini-batch loop of FedAvg's local rounds.
+evaluate() runs the eval-mode forward over the test set through
+fedavg.predict_proba, nn.EVAL_BATCH samples per nn.forward call (or takes
+the probabilities of one the caller already ran), and reports, for every
+K up to K_max, the top-K accuracy and (when per-sample beam powers are
+available) the throughput ratio of the best pair inside the predicted set
+against the true optimum, both from channel.topk_accuracy/throughput_ratio
+over the (N, C) probability matrix. Both curves are non-decreasing in K
+and reach 1.0 at K = C_t * C_r. train_centralized runs each Adam epoch
+through fedavg._train_epoch, the mini-batch loop of FedAvg's local rounds.
 """
 
 import csv

@@ -119,8 +119,12 @@ def client_rngs(shuffle_seed, vehicles):
 
 def preprocess_dataset(ds, grid):
     """Every sample's occupancy grid, codes kept raw, as one (N, 1, H, W)
-    float32 array, plus the labels."""
-    inputs = np.empty((len(ds), 1) + grid.shape, dtype=np.float32)
+    int8 array, plus the labels.
+
+    The codes {0, 1, -1, -2} are exact in every float type, so nn.forward's
+    copy of a batch into its buffer of theta's dtype is the only cast.
+    """
+    inputs = np.empty((len(ds), 1) + grid.shape, dtype=np.int8)
     for k, sample in enumerate(ds.samples):
         inputs[k, 0] = lidar_to_grid(sample, grid)
     return inputs, ds.labels()

@@ -449,6 +449,11 @@ def _forward_eval(spec, theta, layout, folded, batch):
 def forward(spec, theta, bn_state, batch, mode="eval"):
     """Class probabilities for a batch of shape (B, 1, H, W).
 
+    The batch may be of any real dtype whose values are exact in theta's
+    dtype (fedavg.preprocess_dataset's int8 codes are): its copy into the
+    first conv's padded buffer of theta's dtype is the only cast, so the
+    result equals that of batch.astype(theta.dtype) to the bit.
+
     Train mode normalizes with batch statistics (needs B >= 2) and folds
     them into the running statistics; it also returns the cache needed by
     the backward pass. Eval mode uses the running statistics, folded into
@@ -544,6 +549,9 @@ def loss_and_grad(spec, theta, bn_state, batch, labels):
     The backward pass differentiates through the batch-norm batch statistics
     (mean and variance), PReLU slopes and both linear layers; it is the
     quantity certified by the finite-difference oracle in the test suite.
+    The batch takes any real dtype whose values are exact in theta's dtype,
+    as in forward; the loss, gradient and running statistics then equal
+    those of batch.astype(theta.dtype) to the bit.
     """
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     batch = np.asarray(batch)

@@ -5,8 +5,8 @@ least one cloud point are 1, free cells 0; the base-station cell is then
 overwritten with -2 and the vehicle cell with -1 (vehicle wins every
 collision). Height information is dropped, so every scan becomes one
 fixed-size int8 code array no matter how many points it returned;
-fedavg.preprocess_dataset copies these arrays, codes kept raw, into the
-single-channel float32 network input.
+fedavg.preprocess_dataset stacks these arrays, codes kept raw, into the
+single-channel int8 network input.
 """
 
 import logging

@@ -603,6 +603,21 @@ class TestEval:
         assert capsys.readouterr().err.startswith("error: grid: " if version == 1 else "error: version: ")
         assert list(eval_out.iterdir()) == []
 
+    def test_config_grid_shape_mismatch_exit_2_before_loading(self, tmp_path, capsys, monkeypatch):
+        # a 6x30 checkpoint with a 3x15 grid: was a whole rasterization, then
+        # exit 3 from nn.forward naming neither the grid nor the checkpoint
+        cfg_path, out = self._train(tmp_path)
+        grid = {"x_min": 0, "x_max": 3, "y_min": 0, "y_max": 15, "cells_x": 3, "cells_y": 15}
+        monkeypatch.setattr(cli, "load_dataset", forbidden)
+        eval_out = tmp_path / "eval_out"
+        eval_out.mkdir()
+        assert main(["eval", "--checkpoint", str(out / "model.fbnn"), "--dataset", str(out / "test.fbds"),
+                     "--config", write_config(tmp_path, micro_config(grid=grid), "eval.json"),
+                     "--out", str(eval_out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: grid: (3, 15) does not match the checkpoint's input_shape (6, 30)\n")
+        assert list(eval_out.iterdir()) == []
+
     def test_corrupt_dataset_exit_3(self, tmp_path):
         cfg_path, out = self._train(tmp_path)
         bad = tmp_path / "bad.fbds"
@@ -612,7 +627,7 @@ class TestEval:
 
 
 EXIT_CASES = [(FormatError, 3), (IntegrityError, 3), (IngestError, 3), (MetricUnavailableError, 3),
-              (NumericError, 4), (cli.ConfigError, 2), (ValueError, 3), (OSError, 3)]
+              (NumericError, 4), (cli.ConfigError, 2), (ValueError, 3), (OSError, 3), (MemoryError, 3)]
 
 
 class TestExitCodes:

@@ -30,7 +30,7 @@ def test_grid_preprocessing_demo_runs(capsys):
     assert "cell holding all three = -1 " in out
     assert out.count("identical: True") == 2
     assert "rolled match: True" in out
-    assert "tensor shape (1, 1, 10, 10), dtype float32" in out
+    assert "tensor shape (1, 1, 10, 10), dtype int8" in out
     assert "equals the code grid: True" in out
 
 

@@ -16,8 +16,9 @@ from conftest import (
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fedbeam.dataset import SynthConfig, generate_synthetic
 from fedbeam.errors import FormatError, IntegrityError, NumericError
-from fedbeam.fedavg import predict_proba
+from fedbeam.fedavg import predict_proba, preprocess_dataset
 from fedbeam.nn import (
     BN_EPS,
     EVAL_BATCH,
@@ -39,6 +40,7 @@ from fedbeam.nn import (
     save_checkpoint,
     sgd_step,
 )
+from fedbeam.preprocess import default_grid
 
 
 def micro_spec():
@@ -461,6 +463,43 @@ class TestTrainStep:
         np.testing.assert_allclose(db, db_ref, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(dx, dx_ref, rtol=1e-12, atol=1e-12)
         assert _conv_backward(dout, cols, weight, conv, x.shape, need_dx=False)[2] is None
+
+
+class TestInt8Input:
+    """fedavg.preprocess_dataset's int8 codes go into nn.forward and
+    loss_and_grad as they are: the copy into the first padded buffer is the
+    only cast, so every output equals that of the input cast to theta's
+    dtype, to the bit."""
+
+    @pytest.fixture(scope="class")
+    def codes(self):
+        inputs, labels = preprocess_dataset(generate_synthetic(SynthConfig(), 37, seed=23), default_grid())
+        assert inputs.dtype == np.int8
+        return inputs, labels
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [16, 37])
+    def test_eval_forward_bit_equal(self, codes, dtype, batch):
+        spec = default_architecture(n_classes=64)
+        theta, bn, _ = trained_bn_case(spec, 24, dtype)
+        x = codes[0][:batch]
+        probs = forward(spec, theta, bn, x, mode="eval")
+        assert probs.dtype == dtype
+        np.testing.assert_array_equal(probs, forward(spec, theta, bn, x.astype(dtype), mode="eval"))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_loss_and_grad_bit_equal(self, codes, dtype):
+        spec = default_architecture(n_classes=64)
+        theta, bn, _ = trained_bn_case(spec, 25, dtype)
+        x, labels = codes[0][:16], codes[1][:16]
+        before, bn_cast = bn.stat_vector().copy(), bn.copy()
+        loss, grad = loss_and_grad(spec, theta, bn, x, labels)
+        loss_cast, grad_cast = loss_and_grad(spec, theta, bn_cast, x.astype(dtype), labels)
+        assert loss == loss_cast
+        assert grad.dtype == dtype
+        np.testing.assert_array_equal(grad, grad_cast)
+        assert np.any(bn.stat_vector() != before)
+        np.testing.assert_array_equal(bn.stat_vector(), bn_cast.stat_vector())
 
 
 class TestOptimizers:

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedbeam.dataset import Dataset, DatasetMeta, Sample
+from fedbeam.dataset import Dataset, DatasetMeta, Sample, SynthConfig, generate_synthetic
 from fedbeam.fedavg import preprocess_dataset
 from fedbeam.preprocess import GridConfig, default_grid, lidar_to_grid
 
@@ -144,8 +145,23 @@ class TestGridToInput:
         s = make_sample(pts, vehicle=(5.0, 5.0, 1.6), bs=(1.0, 1.0, 5.0))
         x = one_scene_inputs(s, cfg)
         assert set(np.unique(x)) <= {-2.0, -1.0, 0.0, 1.0}
-        assert x.dtype == np.float32
+        assert x.dtype == np.int8  # the codes themselves; nn.forward casts them
         np.testing.assert_array_equal(x[0], lidar_to_grid(s, cfg))
+
+    def test_default_set_peaks_under_two_bytes_per_cell(self):
+        # int8 codes are one byte per cell, and the loop's per-scene
+        # temporaries stay far below a second byte; a float32 tensor would
+        # take four bytes per cell on its own
+        n, grid = 200, default_grid()
+        ds = generate_synthetic(SynthConfig(), n, seed=17)
+        tracemalloc.start()
+        try:
+            inputs, _ = preprocess_dataset(ds, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inputs.shape == (n, 1) + grid.shape
+        assert peak < 2 * n * grid.cells_x * grid.cells_y
 
     def test_obstacle_row_between_vehicle_and_bs(self):
         # wall of points across the connecting row shows up as a run of 1s
