@@ -275,10 +275,10 @@ def cmd_train(args):
                           f"does not match the training set's {codebooks[0]}")
     spec = _resolve_spec(cfg, train.meta.n_pairs)
     report_path, sweep_path, ckpt_path, rounds_path = _report_paths(out)
-    # the test set is rasterized once, for every eval of this command
-    test_tensors = fedavg.preprocess_dataset(test, cfg.grid)
 
     if cfg.mode == "central":
+        # the test set is rasterized once, for the report and every confidence run
+        test_tensors = fedavg.preprocess_dataset(test, cfg.grid)
         theta, bn_state = train_centralized(cfg.central, spec, train, cfg.grid)
         report = evaluate(theta, bn_state, spec, test, cfg.grid, cfg.k_max, test_tensors)
         report.seeds = {"base": cfg.seed, "central": cfg.central.seed}
@@ -302,10 +302,10 @@ def cmd_train(args):
                 ).items()
             }
     else:
-        theta, bn_state, logs, probs = run_federated(cfg.federated, train, test, spec, cfg.grid, test_tensors)
+        theta, bn_state, logs, probs = run_federated(cfg.federated, train, test, spec, cfg.grid)
         write_round_csv(logs, rounds_path)
         # the last round's eval already ran the final model over the test set
-        report = evaluate(theta, bn_state, spec, test, cfg.grid, cfg.k_max, test_tensors, probs)
+        report = evaluate(theta, bn_state, spec, test, cfg.grid, cfg.k_max, probs=probs)
         report.seeds = {
             "base": cfg.seed,
             "partition": cfg.federated.partition_seed,

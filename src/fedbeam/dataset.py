@@ -361,14 +361,13 @@ def load_dataset(path):
 # Partitioning
 
 
-def partition_uniform(ds, v, seed):
-    """Uniform-random disjoint split into v local datasets: a list of v
-    index arrays, slices of one permutation of range(N).
+def partition_uniform(n, v, seed):
+    """Uniform-random disjoint split of n samples into v local datasets: a
+    list of v index arrays, slices of one permutation of range(n).
 
-    The first (N mod v) vehicles receive one extra sample, so sizes differ by
-    at most one. Deterministic for a fixed (dataset size, v, seed).
+    The first (n mod v) vehicles receive one extra sample, so sizes differ by
+    at most one. Deterministic for a fixed (n, v, seed).
     """
-    n = len(ds)
     if v < 1:
         raise ValueError(f"need at least one vehicle, got {v}")
     if v > n:

@@ -8,11 +8,13 @@ available) the throughput ratio of the best pair inside the predicted set
 against the true optimum, both from channel.topk_accuracy/throughput_ratio
 over the (N, C) probability matrix. Both curves are non-decreasing in K
 and reach 1.0 at K = C_t * C_r. train_centralized runs each Adam epoch
-through fedavg._train_epoch, the mini-batch loop of FedAvg's local rounds.
+through fedavg._train_epoch, the mini-batch loop of FedAvg's local rounds,
+and logs each epoch's mean loss at INFO on this module's logger.
 """
 
 import csv
 import json
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -31,6 +33,8 @@ __all__ = [
     "monte_carlo",
     "REFERENCE_RESULTS",
 ]
+
+log = logging.getLogger(__name__)
 
 # Published reference points for the two architectures this package is
 # benchmarked against (centralized training on the ray-traced benchmark);
@@ -71,12 +75,12 @@ class CentralTrainConfig:
         require_real("lr_drop_factor", self.lr_drop_factor)
 
 
-def train_centralized(cfg, spec, ds_train, grid, log_every=None):
+def train_centralized(cfg, spec, ds_train, grid):
     """Adam training with per-epoch reshuffling and a stepped LR drop.
 
     Deterministic per cfg.seed (one derived stream for the weight init, one
     for the shuffles). Non-finite loss aborts with the epoch/batch indices.
-    Returns (theta, bn_state).
+    Each epoch's mean loss is logged at INFO. Returns (theta, bn_state).
     """
     if len(ds_train) == 0:
         raise ValueError("training dataset is empty")
@@ -96,8 +100,7 @@ def train_centralized(cfg, spec, ds_train, grid, log_every=None):
         order = shuffle_rng.permutation(len(labels))
         theta, losses = _train_epoch(spec, theta, bn_state, inputs, labels, order, cfg.batch_size, step,
                                      lambda b: f"training diverged at epoch {epoch}, batch {b}")
-        if log_every and (epoch + 1) % log_every == 0:
-            print(f"epoch {epoch + 1}/{cfg.epochs}: mean loss {sum(losses) / len(losses):.4f}")
+        log.info("epoch %d/%d: mean loss %.4f", epoch + 1, cfg.epochs, sum(losses) / len(losses))
     return theta, bn_state
 
 

@@ -36,7 +36,7 @@ import csv
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,13 +88,12 @@ class FedConfig:
 
 @dataclass
 class ClientState:
-    """One vehicle: its partition view, batch-norm state and RNG stream."""
+    """One vehicle: its partition view, RNG stream and SGD step count."""
 
     vid: int
     indices: np.ndarray
-    bn_state: nn.BatchNormState | None = None
+    rng: np.random.Generator
     step_count: int = 0
-    rng: np.random.Generator = field(default_factory=np.random.default_rng)
 
     def __post_init__(self):
         if len(self.indices) == 0:
@@ -219,10 +218,10 @@ def _train_epoch(spec, theta, bn_state, inputs, labels, order, batch_size, step,
 
 
 def local_round(client, global_theta, global_bn, spec, inputs, labels, cfg):
-    """N_v local epochs of mini-batch SGD from the broadcast state, the
-    client's indices reshuffled each epoch from its own RNG stream, with
-    rho_t = local_lr * exp(-lr_decay * t); returns the parameter delta."""
-    client.bn_state = global_bn.copy()
+    """N_v local epochs of mini-batch SGD from the broadcast state, the client's
+    indices reshuffled each epoch from its own RNG stream, with rho_t = local_lr *
+    exp(-lr_decay * t). Returns (delta, the vehicle's copy of global_bn, trained)."""
+    bn_state = global_bn.copy()
 
     def sgd(theta, grad):
         theta = nn.sgd_step(theta, grad, cfg.local_lr * np.exp(-cfg.lr_decay * client.step_count))
@@ -235,9 +234,9 @@ def local_round(client, global_theta, global_bn, spec, inputs, labels, cfg):
     theta = global_theta
     for _ in range(cfg.local_epochs):
         order = client.indices[client.rng.permutation(len(client.indices))]
-        theta, _ = _train_epoch(spec, theta, client.bn_state, inputs, labels, order,
+        theta, _ = _train_epoch(spec, theta, bn_state, inputs, labels, order,
                                 cfg.batch_size, sgd, diverged)
-    return theta - global_theta
+    return theta - global_theta, bn_state
 
 
 def aggregate(theta_prev, deltas, mu):
@@ -266,27 +265,26 @@ def predict_proba(spec, theta, bn_state, inputs):
     return probs
 
 
-def run_federated(cfg, ds_train, ds_test, spec, grid, test_tensors=None):
+def run_federated(cfg, ds_train, ds_test, spec, grid):
     """Algorithm loop: local epochs, delta upload, aggregate, broadcast, eval.
 
     Stops after cfg.max_rounds or once post-aggregation top-K test accuracy
     reaches cfg.target_accuracy. Returns (theta, bn_state, [RoundLog],
     probs), where probs is the final model's eval-mode (N, C) probability
-    matrix over the test set, from the last round's eval.
-    test_tensors, when given, is preprocess_dataset(ds_test, grid) made by
-    the caller, so a test set rasterized once can serve later evals too.
-    Deterministic for fixed config and seeds: clients own disjoint RNG
-    streams, so running the local rounds side by side on every CPU gives
-    the deltas of a sequential run, and a failing vehicle raises what the
-    sequential run would (the lowest vehicle id's error).
+    matrix over the test set, from the last round's eval, which evaluate()
+    takes in place of a forward pass of its own. Deterministic for fixed
+    config and seeds: clients own disjoint RNG streams, so running the
+    local rounds side by side on every CPU gives the deltas of a
+    sequential run, and a failing vehicle raises what the sequential run
+    would (the lowest vehicle id's error).
     """
     if len(ds_test) == 0:
         raise ValueError("test dataset is empty")
     train_inputs, train_labels = preprocess_dataset(ds_train, grid)
-    test_inputs, test_labels = preprocess_dataset(ds_test, grid) if test_tensors is None else test_tensors
+    test_inputs, test_labels = preprocess_dataset(ds_test, grid)
     test_powers = ds_test.powers()
 
-    parts = partition_uniform(ds_train, cfg.vehicles, cfg.partition_seed)
+    parts = partition_uniform(len(ds_train), cfg.vehicles, cfg.partition_seed)
     rngs = client_rngs(cfg.shuffle_seed, cfg.vehicles)
     clients = [ClientState(vid=v, indices=parts[v], rng=rngs[v]) for v in range(cfg.vehicles)]
 
@@ -298,13 +296,13 @@ def run_federated(cfg, ds_train, ds_test, spec, grid, test_tensors=None):
 
     for round_index in range(1, cfg.max_rounds + 1):
         t0 = time.perf_counter()
-        deltas = _on_all_cpus(
+        deltas, bn_states = zip(*_on_all_cpus(
             lambda c: local_round(c, theta, bn_state, spec, train_inputs, train_labels, cfg), clients
-        )
+        ))
         theta = aggregate(theta, deltas, cfg.server_lr)
         if not np.all(np.isfinite(theta)):
             raise NumericError(f"non-finite parameters after aggregation round {round_index}")
-        bn_state = nn.BatchNormState.average([c.bn_state for c in clients])
+        bn_state = nn.BatchNormState.average(bn_states)
         o_dl += n_params
         o_ul += cfg.vehicles * n_params
 

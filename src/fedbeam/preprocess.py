@@ -45,6 +45,8 @@ class GridConfig:
         require_int("cells_y", self.cells_y, 1)
         if self.x_max <= self.x_min or self.y_max <= self.y_min:
             raise ValueError("grid box is degenerate")
+        if not (math.isfinite(self.dx) and math.isfinite(self.dy)):
+            raise ValueError(f"grid width and length must be finite, got dx={self.dx!r}, dy={self.dy!r}")
         if abs(self.dx - self.dy) > 1e-9:
             raise ValueError(
                 f"cells must be square: dx={self.dx!r} differs from dy={self.dy!r}"
@@ -72,18 +74,16 @@ def default_grid():
     return GridConfig(x_min=0.0, x_max=10.0, y_min=0.0, y_max=100.0, cells_x=20, cells_y=200)
 
 
-def _cell_index(coords, lo, hi, n_cells, delta):
-    """Half-open binning with the upper box edge clamped into the last cell."""
-    idx = np.floor((coords - lo) / delta).astype(np.int64)
-    on_top_edge = coords == hi
-    idx[on_top_edge] = n_cells - 1
-    return idx
+def _cell_index(coords, lo, n_cells, delta):
+    """Half-open binning of in-box coordinates, clamped into the last cell
+    (the upper box edge, and a quotient that rounds up to n_cells)."""
+    return np.minimum(np.floor((coords - lo) / delta).astype(np.int64), n_cells - 1)
 
 
 def _marker_cell(x, y, cfg):
     """(ix, iy) of one in-box position, binned as _cell_index bins points."""
-    ix = cfg.cells_x - 1 if x == cfg.x_max else math.floor((x - cfg.x_min) / cfg.dx)
-    iy = cfg.cells_y - 1 if y == cfg.y_max else math.floor((y - cfg.y_min) / cfg.dy)
+    ix = min(math.floor((x - cfg.x_min) / cfg.dx), cfg.cells_x - 1)
+    iy = min(math.floor((y - cfg.y_min) / cfg.dy), cfg.cells_y - 1)
     return ix, iy
 
 
@@ -111,8 +111,8 @@ def lidar_to_grid(sample, cfg):
         dropped = int(pts.shape[0] - np.count_nonzero(inside))
         if dropped:
             log.debug("lidar_to_grid: discarded %d of %d points outside the box", dropped, pts.shape[0])
-        ix = _cell_index(x[inside], cfg.x_min, cfg.x_max, cfg.cells_x, cfg.dx)
-        iy = _cell_index(y[inside], cfg.y_min, cfg.y_max, cfg.cells_y, cfg.dy)
+        ix = _cell_index(x[inside], cfg.x_min, cfg.cells_x, cfg.dx)
+        iy = _cell_index(y[inside], cfg.y_min, cfg.cells_y, cfg.dy)
         cells[ix, iy] = CODE_OCCUPIED
 
     bx, by = float(sample.bs_pos[0]), float(sample.bs_pos[1])

@@ -147,7 +147,7 @@ class TestDegenerateEquivalence:
                         batch_size=16, partition_seed=31, init_seed=32,
                         shuffle_seed=33, accuracy_top_k=5)
         inputs, labels = preprocess_dataset(synthetic_train, grid)
-        indices = partition_uniform(synthetic_train, 1, cfg.partition_seed)[0]
+        indices = partition_uniform(len(synthetic_train), 1, cfg.partition_seed)[0]
         theta0, bn0 = init_params(benchmark_spec, cfg.init_seed)
         theta0 = theta0.astype(np.float64)
 
@@ -174,10 +174,9 @@ class TestDegenerateEquivalence:
         bn_fed = bn0.copy()
         worst = 0.0
         for r in range(cfg.max_rounds):
-            delta = local_round(client, theta_fed, bn_fed, benchmark_spec,
-                                inputs, labels, cfg)
+            delta, bn_fed = local_round(client, theta_fed, bn_fed, benchmark_spec,
+                                        inputs, labels, cfg)
             theta_fed = aggregate(theta_fed, [delta], cfg.server_lr)
-            bn_fed = client.bn_state
             diff = float(np.abs(theta_fed - per_round[r]).max())
             worst = max(worst, diff)
             assert diff <= 1e-6, f"round {r + 1}: max coordinate gap {diff:.2e}"

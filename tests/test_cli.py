@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -17,6 +18,7 @@ from fedbeam import cli, evaluation, fedavg
 from fedbeam.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from fedbeam.dataset import (
     Dataset,
+    DatasetMeta,
     Sample,
     SynthConfig,
     export_exchange,
@@ -33,7 +35,14 @@ from fedbeam.errors import (
     NumericError,
 )
 from fedbeam.evaluation import CentralTrainConfig, evaluate, train_centralized
-from fedbeam.nn import ArchitectureSpec, count_flops, count_params, default_architecture
+from fedbeam.nn import (
+    ArchitectureSpec,
+    count_flops,
+    count_params,
+    default_architecture,
+    init_params,
+    save_checkpoint,
+)
 from fedbeam.preprocess import GridConfig
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -300,6 +309,8 @@ class TestTrain:
         ("grid.cells_x", 6.0, "grid"),  # was accepted (train: exit 3 from the input_shape)
         ("grid.cells_x", True, "grid"),  # was accepted
         ("grid.x_min", float("nan"), "grid"),  # was exit 3 from rasterization
+        ("grid", {"x_min": -1e308, "x_max": 1e308, "y_min": -1e308, "y_max": 1e308,
+                  "cells_x": 6, "cells_y": 30}, "grid"),  # inf cells: train rasterized one cell
         ("dataset.synthetic.n_train", 4.7, "dataset.synthetic.n_train"),  # wrote 4 scenes
         ("dataset.synthetic.n_train", True, "dataset.synthetic.n_train"),
         ("dataset.synthetic.n_train", "4", "dataset.synthetic.n_train"),
@@ -618,6 +629,21 @@ class TestEval:
             "error: grid: (3, 15) does not match the checkpoint's input_shape (6, 30)\n")
         assert list(eval_out.iterdir()) == []
 
+    def test_point_just_below_top_edge_exit_0(self, tmp_path):
+        # y = -1.4e-45 in the area (0, 10, -50, 0) on a 20x100 grid: its
+        # quotient rounds up to 100, which was a raw IndexError and exit 1
+        y = float(np.float32(-1.4e-45))
+        meta = DatasetMeta(c_t=2, c_r=2, n_t=2, n_r=2, n_c=1, area=(0.0, 10.0, -50.0, 0.0), seed=0)
+        sample = Sample(cloud=[[5.0, y, 0.0]], vehicle_pos=(1.0, -20.0, 1.6), bs_pos=(20.0, 0.0, 5.0),
+                        label=0, powers=[4.0, 3.0, 2.0, 1.0])
+        save_dataset(Dataset(meta=meta, samples=[sample]), tmp_path / "edge.fbds")
+        spec = ArchitectureSpec((20, 100), (), hidden=None, n_classes=4)
+        save_checkpoint(spec, *init_params(spec, seed=0), tmp_path / "model.fbnn")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["eval", "--checkpoint", str(tmp_path / "model.fbnn"),
+                     "--dataset", str(tmp_path / "edge.fbds"), "--out", str(out)]) == EXIT_OK
+
     def test_corrupt_dataset_exit_3(self, tmp_path):
         cfg_path, out = self._train(tmp_path)
         bad = tmp_path / "bad.fbds"
@@ -654,12 +680,17 @@ def _rounds_without_wall(path):
 class TestCpuCount:
     @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
                         reason="needs at least 2 CPUs in the affinity mask")
-    def test_one_cpu_and_every_cpu_give_identical_artifacts(self, tmp_path):
-        """A federated run pinned to one CPU (its vehicles and eval batches
-        then run one after another) writes the same artifacts as one on
-        every CPU."""
-        cfg = micro_config(mode="federated", n_test=40)
-        cfg["federated"]["vehicles"] = 3
+    @pytest.mark.parametrize("mode", ["federated", "central"])
+    def test_one_cpu_and_every_cpu_give_identical_artifacts(self, tmp_path, mode):
+        """A run pinned to one CPU (federated vehicles and every eval's
+        batches then run one after another) writes the same artifacts as
+        one on every CPU; in central mode the report's confidence runs reuse
+        the rasterized test set."""
+        cfg = micro_config(mode=mode, n_test=40)
+        if mode == "federated":
+            cfg["federated"]["vehicles"] = 3
+        else:
+            cfg["n_runs"] = 2
         cfg_path = write_config(tmp_path, cfg)
         one, every = tmp_path / "one", tmp_path / "every"
         one.mkdir()
@@ -673,7 +704,11 @@ class TestCpuCount:
         assert main(["train", "--config", cfg_path, "--out", str(every)]) == EXIT_OK
         for name in ("model.fbnn", "report.json", "sweep.csv"):
             assert (one / name).read_bytes() == (every / name).read_bytes(), name
-        assert _rounds_without_wall(one / "rounds.csv") == _rounds_without_wall(every / "rounds.csv")
+        if mode == "federated":
+            assert _rounds_without_wall(one / "rounds.csv") == _rounds_without_wall(every / "rounds.csv")
+        else:
+            assert sorted(json.loads((every / "report.json").read_text())["ci95"]) == [
+                "top4_accuracy", "top4_throughput_ratio"]
 
 
 class TestNumpyOnly:
@@ -685,6 +720,23 @@ class TestNumpyOnly:
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         assert "parameters:" in result.stdout
+
+
+class TestNoPrint:
+    def test_only_the_cli_prints(self):
+        """Library modules report through logging; only cli.py writes to
+        stdout and stderr."""
+        package = os.path.join(SRC, "fedbeam")
+        modules = [n for n in sorted(os.listdir(package)) if n.endswith(".py") and n != "cli.py"]
+        assert "evaluation.py" in modules and "fedavg.py" in modules
+        printing = []
+        for name in modules:
+            with open(os.path.join(package, name)) as f:
+                tree = ast.parse(f.read(), name)
+            printing += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                         and node.func.id == "print"]
+        assert printing == []
 
 
 class TestFlops:

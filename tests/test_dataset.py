@@ -419,20 +419,16 @@ class TestRoundTrip:
 
 class TestPartition:
     def test_even_split(self):
-        ds = Dataset(meta=small_meta(), samples=[])
-        ds.samples = [None] * 11000  # partition only needs the length
-        p = partition_uniform(ds, 5, seed=0)
+        p = partition_uniform(11000, 5, seed=0)
         assert [len(a) for a in p] == [2200] * 5
 
     def test_single_vehicle_gets_permutation(self):
-        ds = Dataset(meta=small_meta(), samples=[one_sample() for _ in range(10)])
-        p = partition_uniform(ds, 1, seed=3)
+        p = partition_uniform(10, 1, seed=3)
         assert sorted(p[0].tolist()) == list(range(10))
 
     def test_remainder_sizes_and_reproducibility(self):
-        ds = Dataset(meta=small_meta(), samples=[one_sample() for _ in range(10)])
-        p1 = partition_uniform(ds, 3, seed=42)
-        p2 = partition_uniform(ds, 3, seed=42)
+        p1 = partition_uniform(10, 3, seed=42)
+        p2 = partition_uniform(10, 3, seed=42)
         assert [len(a) for a in p1] == [4, 3, 3]
         for a, b in zip(p1, p2):
             np.testing.assert_array_equal(a, b)
@@ -440,17 +436,14 @@ class TestPartition:
         assert sorted(flat.tolist()) == list(range(10))
 
     def test_too_many_vehicles_rejected(self):
-        ds = Dataset(meta=small_meta(), samples=[one_sample()])
         with pytest.raises(ValueError):
-            partition_uniform(ds, 2, seed=0)
+            partition_uniform(1, 2, seed=0)
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 60), v_frac=st.floats(0, 1), seed=st.integers(0, 2**32 - 1))
     def test_disjoint_and_covering(self, n, v_frac, seed):
         v = max(1, int(round(v_frac * n)))
-        ds = Dataset(meta=small_meta(), samples=[])
-        ds.samples = [None] * n
-        p = partition_uniform(ds, v, seed)
+        p = partition_uniform(n, v, seed)
         flat = np.concatenate(p)
         assert len(flat) == n
         assert len(set(flat.tolist())) == n

@@ -1,4 +1,5 @@
 import inspect
+import logging
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ class TestTrainCentralized:
                                   spec, train, grid)
         assert np.any(t1 != t3)
 
-    def test_matches_independent_adam_loop(self, capsys):
+    def test_matches_independent_adam_loop(self, caplog):
         """Adam over per-epoch reshuffles with the stepped rate, the short
         final batch kept (20 scenes at batch 8: 8, 8, 4), bit for bit."""
         _, grid, spec, train, _ = micro_world(n_train=20)
@@ -77,13 +78,14 @@ class TestTrainCentralized:
                 losses.append(loss)
             mean_losses.append(sum(losses) / len(losses))
 
-        theta_c, bn_c = train_centralized(cfg, spec, train, grid, log_every=2)
+        with caplog.at_level(logging.INFO, logger="fedbeam.evaluation"):
+            theta_c, bn_c = train_centralized(cfg, spec, train, grid)
         np.testing.assert_array_equal(theta_c, theta)
         np.testing.assert_array_equal(bn_c.stat_vector(), bn.stat_vector())
         assert adam.t == 12  # three batches an epoch: the short one is kept
-        assert capsys.readouterr().out.splitlines() == [
-            f"epoch 2/4: mean loss {mean_losses[1]:.4f}",
-            f"epoch 4/4: mean loss {mean_losses[3]:.4f}",
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("fedbeam.evaluation", logging.INFO, f"epoch {e + 1}/4: mean loss {loss:.4f}")
+            for e, loss in enumerate(mean_losses)
         ]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point

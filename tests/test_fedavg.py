@@ -46,7 +46,7 @@ class TestLocalRound:
         labels = np.zeros(8, dtype=int)
         client = ClientState(vid=0, indices=np.arange(8), rng=np.random.default_rng(1))
         cfg = FedConfig(vehicles=1, local_epochs=2, batch_size=4)
-        delta = local_round(client, theta, bn, spec, inputs, labels, cfg)
+        delta, _ = local_round(client, theta, bn, spec, inputs, labels, cfg)
         np.testing.assert_array_equal(delta, np.zeros_like(theta))
 
     def test_single_batch_is_one_sgd_step(self):
@@ -55,7 +55,7 @@ class TestLocalRound:
         theta, bn = init_params(spec, seed=1)
         cfg = FedConfig(vehicles=1, local_epochs=1, batch_size=8, local_lr=0.2)
         client = ClientState(vid=0, indices=np.arange(8), rng=np.random.default_rng(3))
-        delta = local_round(client, theta, bn.copy(), spec, inputs, labels, cfg)
+        delta, _ = local_round(client, theta, bn.copy(), spec, inputs, labels, cfg)
         # |D_v| = batch: exactly one step at rho_0, so g = -rho_0 * grad
         order = np.random.default_rng(3).permutation(8)
         _, grad = loss_and_grad(spec, theta, bn.copy(), inputs[order], labels[order])
@@ -69,12 +69,37 @@ class TestLocalRound:
         deltas = []
         for _ in range(2):
             client = ClientState(vid=0, indices=np.arange(12), rng=np.random.default_rng(9))
-            deltas.append(local_round(client, theta, bn.copy(), spec, inputs, labels, cfg))
+            deltas.append(local_round(client, theta, bn.copy(), spec, inputs, labels, cfg)[0])
         np.testing.assert_array_equal(deltas[0], deltas[1])
+
+    def test_returns_vehicle_bn_state_and_keeps_global(self):
+        _, grid, spec, train, _ = micro_world(n_train=12)
+        inputs, labels = preprocess_dataset(train, grid)
+        theta, bn = init_params(spec, seed=1)
+        before = bn.stat_vector().copy()
+        cfg = FedConfig(vehicles=1, local_epochs=2, batch_size=4)
+        client = ClientState(vid=0, indices=np.arange(12), rng=np.random.default_rng(5))
+        delta, bn_v = local_round(client, theta, bn, spec, inputs, labels, cfg)
+        np.testing.assert_array_equal(bn.stat_vector(), before)
+        # the same six batches replayed on a copy of the broadcast state
+        ref_theta, ref_bn = theta, bn.copy()
+        rng = np.random.default_rng(5)
+        step = 0
+        for _ in range(cfg.local_epochs):
+            order = rng.permutation(12)
+            for start in range(0, 12, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                _, grad = loss_and_grad(spec, ref_theta, ref_bn, inputs[idx], labels[idx])
+                ref_theta = sgd_step(ref_theta, grad, cfg.local_lr * np.exp(-cfg.lr_decay * step))
+                step += 1
+        assert client.step_count == step == 6
+        np.testing.assert_array_equal(delta, ref_theta - theta)
+        np.testing.assert_array_equal(bn_v.stat_vector(), ref_bn.stat_vector())
+        assert np.any(bn_v.stat_vector() != before)
 
     def test_empty_partition_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            ClientState(vid=0, indices=np.array([], dtype=int))
+            ClientState(vid=0, indices=np.array([], dtype=int), rng=np.random.default_rng(0))
 
 
 class TestAggregate:
@@ -116,7 +141,7 @@ class TestDegenerateEquivalence:
         inputs, labels = preprocess_dataset(train, grid)
 
         # reference: one continuous SGD stream, reshuffled each epoch
-        indices = partition_uniform(train, 1, cfg.partition_seed)[0]
+        indices = partition_uniform(len(train), 1, cfg.partition_seed)[0]
         rng = client_rngs(cfg.shuffle_seed, 1)[0]
         theta_ref, bn_ref = init_params(spec, cfg.init_seed)
         step = 0
@@ -134,9 +159,8 @@ class TestDegenerateEquivalence:
         client = ClientState(vid=0, indices=indices, rng=client_rngs(cfg.shuffle_seed, 1)[0])
         theta_fed, bn_fed = init_params(spec, cfg.init_seed)
         for r in range(cfg.max_rounds):
-            delta = local_round(client, theta_fed, bn_fed, spec, inputs, labels, cfg)
+            delta, bn_fed = local_round(client, theta_fed, bn_fed, spec, inputs, labels, cfg)
             theta_fed = aggregate(theta_fed, [delta], cfg.server_lr)
-            bn_fed = client.bn_state
             np.testing.assert_allclose(theta_fed, per_round_ref[r], atol=1e-6,
                                        err_msg=f"trajectories diverged at round {r + 1}")
 
@@ -155,7 +179,7 @@ class TestDegenerateEquivalence:
         deltas = []
         for v in range(5):
             client = ClientState(vid=v, indices=indices, rng=np.random.default_rng(77))
-            deltas.append(local_round(client, theta, bn.copy(), spec, inputs, labels, cfg))
+            deltas.append(local_round(client, theta, bn.copy(), spec, inputs, labels, cfg)[0])
         for g in deltas[1:]:
             np.testing.assert_array_equal(deltas[0], g)
         solo = aggregate(theta, deltas[:1], mu=1.0)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from fedbeam.dataset import Dataset, DatasetMeta, Sample, SynthConfig, generate_synthetic
 from fedbeam.fedavg import preprocess_dataset
-from fedbeam.preprocess import GridConfig, default_grid, lidar_to_grid
+from fedbeam.preprocess import GridConfig, _cell_index, _marker_cell, default_grid, lidar_to_grid
 
 
 def box10():
@@ -42,6 +43,11 @@ class TestGridConfig:
         kwargs[field] = value
         with pytest.raises(ValueError, match=f"^{field} must be"):
             GridConfig(**kwargs)
+
+    def test_overflowing_cell_size_rejected(self):
+        # both widths overflow to inf: abs(dx - dy) is nan and passed the square check
+        with pytest.raises(ValueError, match="^grid width and length must be finite"):
+            GridConfig(x_min=-1e308, x_max=1e308, y_min=-1e308, y_max=1e308, cells_x=6, cells_y=30)
 
     def test_default_grid_shape(self):
         g = default_grid()
@@ -80,6 +86,17 @@ class TestLidarToGrid:
         assert g[9, 0] == 1
         # only the vehicle cell and that single occupied cell are set
         assert np.count_nonzero(g) == 2
+
+    def test_coordinate_just_below_top_edge_stays_in_last_cell(self):
+        # (y - y_min) / dy rounds up to cells_y for the float32 denormal below 0
+        cfg = GridConfig(x_min=0, x_max=10, y_min=-50, y_max=0, cells_x=20, cells_y=100)
+        y = float(np.float32(-1.4e-45))
+        assert y < 0 and math.floor((y - cfg.y_min) / cfg.dy) == 100
+        g = lidar_to_grid(make_sample([[5.0, y, 0.0]], vehicle=(1.0, -20.0, 1.6)), cfg)
+        assert g[10, 99] == 1
+        g = lidar_to_grid(make_sample(np.zeros((0, 3)), vehicle=(5.0, y, 1.6)), cfg)
+        assert g[10, 99] == -1
+        assert np.count_nonzero(g) == 1
 
     def test_vehicle_outside_names_coordinate(self):
         s = make_sample(np.zeros((0, 3)), vehicle=(11.0, 5.0, 1.6))
@@ -249,3 +266,31 @@ class TestLidarToGridProperty:
         assert np.count_nonzero(cells == -1) == 1
         assert np.count_nonzero(cells == -2) <= 1
         np.testing.assert_array_equal(cells, loop_rasterize(sample, cfg))
+
+
+@st.composite
+def box_coordinates(draw):
+    """A float32 box edge pair, a cell count, and float32 coordinates in the
+    box, the top edge and the values just below it among them."""
+    f32 = dict(width=32, allow_nan=False, allow_infinity=False)
+    lo = draw(st.floats(-1e6, 1e6, **f32))
+    hi = draw(st.floats(lo, 2e6, exclude_min=True, **f32))
+    n = draw(st.integers(1, 1000))
+    below = np.nextafter(np.float32(hi), np.float32(lo))
+    edges = st.sampled_from([lo, hi, float(below), float(np.nextafter(below, np.float32(lo)))])
+    coords = draw(st.lists(st.one_of(edges, st.floats(lo, hi, **f32)), min_size=1, max_size=20))
+    return lo, hi, n, np.array(coords, dtype=np.float64)
+
+
+class TestBinningProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(case=box_coordinates())
+    def test_index_in_range_and_floor_below_top(self, case):
+        lo, hi, n, coords = case
+        delta = (hi - lo) / n
+        raw = np.floor((coords - lo) / delta)
+        idx = _cell_index(coords, lo, n, delta)
+        assert np.all((0 <= idx) & (idx <= n - 1))
+        np.testing.assert_array_equal(idx[raw < n], raw[raw < n])
+        cfg = SimpleNamespace(x_min=lo, y_min=lo, dx=delta, dy=delta, cells_x=n, cells_y=n)
+        assert [_marker_cell(c, c, cfg) for c in coords.tolist()] == [(i, i) for i in idx.tolist()]
