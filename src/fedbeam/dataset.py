@@ -1,14 +1,15 @@
 """Canonical sample storage, partitioning, synthetic scenes, external ingestion.
 
-A Sample bundles one scene: the LIDAR point cloud, vehicle and base-station
-positions, the optimal beam-pair label, and (optionally) the full per-pair
-power matrix it was derived from. Datasets serialize to a little-endian
-binary layout (magic "FBDS") that round-trips float32 payloads bit-exactly.
-The reader makes one pass over the records, reading only the point counts,
-labels and powers flags (a flag is 0 or 1), then gathers every cloud,
-vehicle and BS float into one array and every power row into another, and
-checks all samples' invariants at once with the same function that checks
-a single Sample; each loaded Sample holds views of those arrays.
+A Dataset holds its scenes as Columns: `floats` (each scene's cloud xyz,
+then its vehicle and BS positions, scene after scene, in float32),
+`n_points`, `labels` and `has_powers` (one entry per scene), and `powers`
+(the float32 power rows of the scenes that have them, in scene order). A
+Sample is one scene: Dataset(meta, samples) packs Samples, and `ds.samples`
+holds one Sample view of the columns per scene, built on first use and kept
+for the Dataset's life. Datasets serialize to a little-endian binary layout
+(magic "FBDS") that round-trips float32 payloads bit-exactly. The reader
+gathers the columns in one pass over the records and checks every sample's
+invariants at once with the function that checks a single Sample.
 
 The synthetic generator stands in for ray-traced scene data: axis-aligned
 obstacle boxes on a street, 2-D ray-cast visibility for the point cloud, and
@@ -26,13 +27,15 @@ scenes and the same .fbds bytes; each accepted scene's geometry is then
 built by synthesize_scene as before.
 """
 
+import functools
 import glob
 import json
 import logging
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass, field, fields
+from collections import namedtuple
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -69,35 +72,35 @@ _MAGIC = b"FBDS"
 _VERSION = 1
 
 
-def _f32(a, shape=None):
-    out = np.ascontiguousarray(np.asarray(a, dtype=np.float32))
-    if shape is not None:
-        out = out.reshape(shape)
-    return out
-
-
-_NO_POWERS = np.empty((0, 1), dtype=np.float32)
 _COORDS = ("cloud", "vehicle_pos", "bs_pos")
 
 
-def _first_violation(floats, starts, n_points, labels, powers, has_powers):
+def _ends(n_points):
+    """Where each scene's 3 * n_points cloud and 6 position floats end."""
+    return np.cumsum(3 * np.asarray(n_points, dtype=np.int64) + 6)
+
+
+def _pack(scenes):
+    """The floats column of (cloud, vehicle_pos, bs_pos) triples."""
+    return np.concatenate([np.empty(0, np.float32)] + [np.ravel(a) for scene in scenes for a in scene],
+                          dtype=np.float32)
+
+
+def _first_violation(floats, n_points, labels, has_powers, powers):
     """(k, message) for the first sample that breaks a Sample invariant, or None.
 
-    Sample k's floats start at floats[starts[k]]: its 3 * n_points[k] cloud
-    coordinates, then its vehicle and BS positions. labels and has_powers
-    hold one entry per sample; powers holds, in sample order, the rows of the
-    samples whose has_powers is set. Each check runs over every sample at
-    once. A sample's non-finite floats are counted as the difference of one
-    cumulative sum at its bounds, so an empty cloud counts 0. The message is
-    that of the sample's first failing check, in the order: cloud, vehicle
-    and BS finite, label nonnegative, powers finite and nonnegative, label
-    the first argmax of the powers.
+    The arguments are a Dataset's columns. Each check runs over every sample
+    at once. A sample's non-finite floats are counted as the difference of
+    one cumulative sum at its bounds, so an empty cloud counts 0. The
+    message is that of the sample's first failing check, in the order:
+    cloud, vehicle and BS finite, label nonnegative, powers finite and
+    nonnegative, label the first argmax of the powers.
     """
     faults = np.zeros((6, len(labels)), dtype=bool)
     nonfinite = ~np.isfinite(floats)
     if nonfinite.any():
-        starts = np.asarray(starts, dtype=np.int64)
-        cloud_end = starts + 3 * np.asarray(n_points, dtype=np.int64)
+        cloud_end = _ends(n_points) - 6
+        starts = cloud_end - 3 * np.asarray(n_points, dtype=np.int64)
         seen = np.concatenate(([0], np.cumsum(nonfinite)))
         faults[:3] = np.diff(seen[np.stack([starts, cloud_end, cloud_end + 3, cloud_end + 6])], axis=0) > 0
     faults[3] = labels < 0
@@ -130,44 +133,29 @@ class Sample:
     powers: np.ndarray | None = None
 
     def __post_init__(self):
-        self.cloud = _f32(self.cloud).reshape(-1, 3)
-        self.vehicle_pos = _f32(self.vehicle_pos, (3,))
-        self.bs_pos = _f32(self.bs_pos, (3,))
+        self.cloud = np.ascontiguousarray(self.cloud, dtype=np.float32).reshape(-1, 3)
+        self.vehicle_pos = np.ascontiguousarray(self.vehicle_pos, dtype=np.float32).reshape(3)
+        self.bs_pos = np.ascontiguousarray(self.bs_pos, dtype=np.float32).reshape(3)
         self.label = int(self.label)
         if len(self.cloud) > MAX_CLOUD_POINTS:
             raise ValueError(f"cloud has {len(self.cloud)} points, max {MAX_CLOUD_POINTS}")
         has_powers = self.powers is not None
         if has_powers:
-            self.powers = _f32(self.powers).reshape(-1)
+            self.powers = np.ascontiguousarray(self.powers, dtype=np.float32).reshape(-1)
         violation = _first_violation(
-            np.concatenate([self.cloud.reshape(-1), self.vehicle_pos, self.bs_pos]), [0], [len(self.cloud)],
-            np.array([self.label]), self.powers.reshape(1, -1) if has_powers else _NO_POWERS,
-            np.array([has_powers]),
+            _pack([(self.cloud, self.vehicle_pos, self.bs_pos)]), [len(self.cloud)], np.array([self.label]),
+            np.array([has_powers]), self.powers.reshape(1, -1) if has_powers else np.empty((0, 1), np.float32),
         )
         if violation is not None:
             raise ValueError(violation[1])
 
     @classmethod
     def _checked(cls, cloud, vehicle_pos, bs_pos, label, powers):
-        """A Sample of float32 arrays whose invariants load_dataset has already
+        """A Sample of float32 arrays whose invariants a Dataset has already
         checked: assigns them as they are, with no copy and no check."""
         s = cls.__new__(cls)
         s.cloud, s.vehicle_pos, s.bs_pos, s.label, s.powers = cloud, vehicle_pos, bs_pos, label, powers
         return s
-
-    def __eq__(self, other):
-        if not isinstance(other, Sample):
-            return NotImplemented
-        if self.label != other.label:
-            return False
-        if (self.powers is None) != (other.powers is None):
-            return False
-        return (
-            np.array_equal(self.cloud, other.cloud)
-            and np.array_equal(self.vehicle_pos, other.vehicle_pos)
-            and np.array_equal(self.bs_pos, other.bs_pos)
-            and (self.powers is None or np.array_equal(self.powers, other.powers))
-        )
 
 
 @dataclass(frozen=True)
@@ -200,72 +188,100 @@ class DatasetMeta:
         return self.c_t * self.c_r
 
 
-@dataclass(eq=False)
+Columns = namedtuple("Columns", "floats n_points labels has_powers powers")
+
+
+def _check_against(meta, labels, widths):
+    """ValueError for the first sample whose label is C_t*C_r or more, or
+    whose power row is not C_t*C_r wide."""
+    bad = (labels >= meta.n_pairs) | (widths != meta.n_pairs)
+    if bad.any():
+        k = int(bad.argmax())
+        if labels[k] >= meta.n_pairs:
+            raise ValueError(f"sample {k}: label {labels[k]} >= C_t*C_r = {meta.n_pairs}")
+        raise ValueError(f"sample {k}: powers length {widths[k]} != {meta.n_pairs}")
+
+
 class Dataset:
-    """Immutable-by-convention list of samples sharing one meta block."""
+    """Immutable-by-convention scenes sharing one meta block, as Columns.
+    load_dataset and ingest_external hand over columns they have checked."""
 
-    meta: DatasetMeta
-    samples: list = field(default_factory=list)
+    def __init__(self, meta, samples=()):
+        samples = list(samples)
+        labels = np.array([s.label for s in samples], dtype=np.int64)
+        _check_against(meta, labels, np.array([meta.n_pairs if s.powers is None else len(s.powers)
+                                               for s in samples], dtype=np.int64))
+        rows = [s.powers for s in samples if s.powers is not None]
+        self.meta = meta
+        self.columns = Columns(
+            _pack((s.cloud, s.vehicle_pos, s.bs_pos) for s in samples),
+            np.array([len(s.cloud) for s in samples], dtype=np.int64), labels,
+            np.array([s.powers is not None for s in samples], dtype=bool),
+            np.array(rows, dtype=np.float32).reshape(-1, meta.n_pairs),
+        )
 
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self):
-        n_pairs = self.meta.n_pairs
-        for k, s in enumerate(self.samples):
-            if s.label >= n_pairs:
-                raise ValueError(f"sample {k}: label {s.label} >= C_t*C_r = {n_pairs}")
-            if s.powers is not None and s.powers.shape != (n_pairs,):
-                raise ValueError(f"sample {k}: powers length {s.powers.shape[0]} != {n_pairs}")
+    @classmethod
+    def _from_columns(cls, meta, *columns):
+        ds = cls.__new__(cls)
+        ds.meta, ds.columns = meta, Columns(*columns)
+        _check_against(meta, ds.columns.labels, meta.n_pairs)
+        return ds
 
     def __len__(self):
-        return len(self.samples)
+        return len(self.columns.labels)
 
     def __eq__(self, other):
         if not isinstance(other, Dataset):
             return NotImplemented
-        return self.meta == other.meta and self.samples == other.samples
+        return self.meta == other.meta and all(map(np.array_equal, self.columns, other.columns))
 
     def labels(self):
-        return np.array([s.label for s in self.samples], dtype=np.int64)
+        return self.columns.labels.copy()
 
     def powers(self):
         """(N, C_t*C_r) float64 power matrix, or None when any sample lacks powers."""
-        if any(s.powers is None for s in self.samples):
-            return None
-        rows = np.array([s.powers for s in self.samples], dtype=np.float64)
-        return rows.reshape(-1, self.meta.n_pairs)
+        return self.columns.powers.astype(np.float64) if self.columns.has_powers.all() else None
+
+    @functools.cached_property
+    def samples(self):
+        """One Sample per scene, views of the columns. Built once: each scene
+        keeps one object, and one id, for the Dataset's life."""
+        floats, n_points, labels, has_powers, powers = self.columns
+        rows = iter(powers)
+        return [Sample._checked(floats[e - 6 - 3 * n : e - 6].reshape(-1, 3), floats[e - 6 : e - 3],
+                                floats[e - 3 : e], label, next(rows) if flag else None)
+                for n, e, label, flag in zip(n_points.tolist(), _ends(n_points).tolist(), labels.tolist(),
+                                             has_powers.tolist())]
 
 
 # ---------------------------------------------------------------------------
 # Binary serialization
 
+_POINT_COUNT = struct.Struct("<I")
+_LABEL_FLAG = struct.Struct("<HB")
+
 
 def save_dataset(ds, path):
-    """Write the canonical little-endian layout; see load_dataset."""
-    ds.validate()
-    top = max((s.label for s in ds.samples), default=0)
+    """Write the canonical little-endian layout; see load_dataset. Each
+    record's bytes are slices of ds's columns."""
+    floats, n_points, labels, has_powers, powers = ds.columns
+    top = labels.max(initial=0)
     if top > 0xFFFF:
         raise ValueError(f"label {top} exceeds the u16 label limit 65535 of the .fbds format")
+    floats, rows = floats.astype("<f4", copy=False), iter(powers.astype("<f4", copy=False))
+    records = []
+    for n, e, label, flag in zip(n_points.tolist(), _ends(n_points).tolist(), labels.tolist(), has_powers.tolist()):
+        records += (_POINT_COUNT.pack(n), floats[e - 6 - 3 * n : e].tobytes(), _LABEL_FLAG.pack(label, flag))
+        if flag:
+            records.append(next(rows).tobytes())
     m = ds.meta
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<I", _VERSION))
         f.write(struct.pack("<5H", m.c_t, m.c_r, m.n_t, m.n_r, m.n_c))
         f.write(np.asarray(m.area, dtype="<f4").tobytes())
-        f.write(struct.pack("<QQ", m.seed, len(ds.samples)))
-        for s in ds.samples:
-            f.write(struct.pack("<I", len(s.cloud)))
-            f.write(s.cloud.astype("<f4").tobytes())
-            f.write(s.vehicle_pos.astype("<f4").tobytes())
-            f.write(s.bs_pos.astype("<f4").tobytes())
-            f.write(struct.pack("<HB", s.label, 0 if s.powers is None else 1))
-            if s.powers is not None:
-                f.write(s.powers.astype("<f4").tobytes())
-
-
-_POINT_COUNT = struct.Struct("<I")
-_LABEL_FLAG = struct.Struct("<HB")
+        f.write(struct.pack("<QQ", m.seed, len(ds)))
+        f.write(b"".join(records))
 
 
 def _short_record(r, k, at, n_points):
@@ -331,28 +347,19 @@ def load_dataset(path):
         flags.append(flag)
         pos = next_pos
 
-    floats = np.frombuffer(bytearray().join(float_runs), dtype="<f4").astype(np.float32, copy=False)
     powers = np.frombuffer(bytearray().join(power_runs), dtype="<f4").astype(np.float32, copy=False)
-    powers = powers.reshape(-1, meta.n_pairs)
-    sizes = 3 * np.array(n_points, dtype=np.int64) + 6
-    starts = np.cumsum(sizes) - sizes
-    violation = _first_violation(floats, starts, n_points, np.array(labels, dtype=np.int64), powers,
-                                 np.array(flags, dtype=bool))
+    columns = (np.frombuffer(bytearray().join(float_runs), dtype="<f4").astype(np.float32, copy=False),
+               np.array(n_points, dtype=np.int64), np.array(labels, dtype=np.int64), np.array(flags, dtype=bool),
+               powers.reshape(-1, meta.n_pairs))
+    violation = _first_violation(*columns)
     if violation is not None:
         raise IntegrityError(f"sample {violation[0]} violates invariants: {violation[1]}")
     if fault is not None:
         raise fault
     r.offset = pos
     r.finish(f"the declared {count} samples")
-
-    rows = iter(powers)
-    samples = [
-        Sample._checked(floats[s : e - 6].reshape(-1, 3), floats[e - 6 : e - 3], floats[e - 3 : e], label,
-                        next(rows) if flag else None)
-        for s, e, label, flag in zip(starts.tolist(), (starts + sizes).tolist(), labels, flags)
-    ]
     try:
-        return Dataset(meta=meta, samples=samples)
+        return Dataset._from_columns(meta, *columns)
     except ValueError as e:
         raise IntegrityError(f"dataset contradicts its meta block: {e}") from e
 
@@ -717,14 +724,12 @@ def _load_meta_json(path):
         d = json.load(f)
     if not isinstance(d, dict):
         raise IngestError(f"meta file {path} must hold a JSON object")
-    missing = [k for k in ("c_t", "c_r", "n_t", "n_r", "n_c", "area", "seed") if k not in d]
+    names = [f.name for f in fields(DatasetMeta)]
+    missing = [k for k in names if k not in d]
     if missing:
         raise IngestError(f"meta file {path} is missing fields: {', '.join(missing)}")
     try:
-        return DatasetMeta(
-            c_t=d["c_t"], c_r=d["c_r"], n_t=d["n_t"], n_r=d["n_r"], n_c=d["n_c"],
-            area=d["area"], seed=d["seed"],
-        )
+        return DatasetMeta(**{k: d[k] for k in names})
     except ValueError as e:
         raise IngestError(f"meta file {path}: {e}") from e
 
@@ -744,7 +749,10 @@ def ingest_external(directory, spec=None):
 
     Samples with neither powers nor a label are skipped; the count is
     reported through the module logger. When powers are present, the label
-    is (re)computed as their argmax so the Sample invariant always holds.
+    is (re)computed as the argmax of their float32 rows, so the Sample
+    invariant always holds. A cloud file must hold a (P, 3) array with P at
+    most MAX_CLOUD_POINTS. The samples are checked as columns, with the one
+    function that checks a Sample; the first failing one decides the error.
     """
     if spec is None:
         spec = IngestSpec()
@@ -778,68 +786,60 @@ def ingest_external(directory, spec=None):
     elif bs.shape != (n, 3):
         raise IngestError(f"bs_pos has shape {bs.shape}, expected ({n}, 3) or (3,)")
 
-    powers = None
+    if not any(p and os.path.exists(path_of(p)) for p in (spec.powers, spec.labels)):
+        raise IngestError(f"missing required arrays: {spec.powers}, {spec.labels} (need at least one)")
+    has_powers = np.zeros(n, dtype=bool)
+    rows = np.empty((0, meta.n_pairs), dtype=np.float32)
     if spec.powers and os.path.exists(path_of(spec.powers)):
         powers = _load_array(path_of(spec.powers), "powers")
         if powers.shape != (n, meta.n_pairs):
             raise IngestError(f"powers has shape {powers.shape}, expected ({n}, {meta.n_pairs})")
-    labels = None
+        has_powers = ~np.isnan(powers).all(axis=1)
+        rows = powers[has_powers].astype(np.float32)
+    labels = np.full(n, -1)
     if spec.labels and os.path.exists(path_of(spec.labels)):
         labels = _load_array(path_of(spec.labels), "labels", "iu")
         if labels.shape != (n,):
             raise IngestError(f"labels has shape {labels.shape}, expected ({n},)")
-    if powers is None and labels is None:
-        raise IngestError(
-            f"missing required arrays: {spec.powers}, {spec.labels} (need at least one)"
-        )
 
-    samples = []
-    skipped = 0
-    for k, cloud_file in enumerate(cloud_files):
-        row = None
-        if powers is not None and not np.all(np.isnan(powers[k])):
-            row = powers[k]
-        label = None
-        if row is not None:
-            label = int(np.argmax(row))
-        elif labels is not None and labels[k] >= 0:
-            label = int(labels[k])
-        if label is None:
-            skipped += 1
-            continue
-        samples.append(
-            Sample(
-                cloud=_load_array(cloud_file, os.path.basename(cloud_file)),
-                vehicle_pos=vehicle[k],
-                bs_pos=bs[k],
-                label=label,
-                powers=row,
-            )
-        )
-    if skipped:
-        log.warning("ingest_external: skipped %d of %d samples lacking both powers and label", skipped, n)
-    return Dataset(meta=meta, samples=samples)
+    kept = np.flatnonzero(has_powers | (labels >= 0))
+    if len(kept) < n:
+        log.warning("ingest_external: skipped %d of %d samples lacking both powers and label", n - len(kept), n)
+    label_column = labels.astype(np.int64)
+    label_column[labels > np.iinfo(np.int64).max] = np.iinfo(np.int64).max  # out of range either way
+    label_column[has_powers] = rows.argmax(axis=1)
+    clouds = []
+    for k in kept.tolist():
+        cloud = _load_array(cloud_files[k], os.path.basename(cloud_files[k]))
+        if cloud.ndim != 2 or cloud.shape[1] != 3 or len(cloud) > MAX_CLOUD_POINTS:
+            raise IngestError(f"cloud file {cloud_files[k]} has shape {cloud.shape}, "
+                              f"expected (P, 3) with P <= {MAX_CLOUD_POINTS}")
+        clouds.append(cloud)
+    columns = (_pack(zip(clouds, vehicle[kept], bs[kept])), np.array([len(c) for c in clouds], dtype=np.int64),
+               label_column[kept], has_powers[kept], rows)
+    violation = _first_violation(*columns)
+    if violation is not None:
+        k = kept[violation[0]]
+        raise IngestError(f"sample {k} ({os.path.basename(cloud_files[k])}) violates invariants: {violation[1]}")
+    return Dataset._from_columns(meta, *columns)
 
 
 def export_exchange(ds, directory):
     """Explode a Dataset into the exchange layout understood by ingest_external."""
     os.makedirs(directory, exist_ok=True)
-    m = ds.meta
+    floats, n_points, labels, has_powers, powers = ds.columns
     with open(os.path.join(directory, "meta.json"), "w") as f:
-        json.dump(asdict(m), f, indent=2)
+        json.dump(asdict(ds.meta), f, indent=2)
     width = max(6, len(str(max(len(ds) - 1, 0))))
     for k, s in enumerate(ds.samples):
         np.save(os.path.join(directory, f"cloud_{k:0{width}d}.npy"), s.cloud)
-    np.save(os.path.join(directory, "vehicle_pos.npy"),
-            np.stack([s.vehicle_pos for s in ds.samples]) if ds.samples else np.zeros((0, 3), np.float32))
-    np.save(os.path.join(directory, "bs_pos.npy"),
-            np.stack([s.bs_pos for s in ds.samples]) if ds.samples else np.zeros((0, 3), np.float32))
-    np.save(os.path.join(directory, "labels.npy"), ds.labels())
-    if any(s.powers is not None for s in ds.samples):
-        rows = np.full((len(ds), m.n_pairs), np.nan, dtype=np.float32)
-        for k, s in enumerate(ds.samples):
-            if s.powers is not None:
-                rows[k] = s.powers
+    ends = _ends(n_points)[:, None]
+    np.save(os.path.join(directory, "vehicle_pos.npy"), floats[ends - [6, 5, 4]])
+    np.save(os.path.join(directory, "bs_pos.npy"), floats[ends - [3, 2, 1]])
+    np.save(os.path.join(directory, "labels.npy"), labels)
+    if has_powers.any():
+        rows = np.full((len(ds), ds.meta.n_pairs), np.nan, dtype=np.float32)
+        rows[has_powers] = powers
         np.save(os.path.join(directory, "powers.npy"), rows)
     spec = IngestSpec()
     spec.to_json(os.path.join(directory, "ingest.json"))

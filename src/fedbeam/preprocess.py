@@ -47,7 +47,7 @@ class GridConfig:
             raise ValueError("grid box is degenerate")
         if not (math.isfinite(self.dx) and math.isfinite(self.dy)):
             raise ValueError(f"grid width and length must be finite, got dx={self.dx!r}, dy={self.dy!r}")
-        if abs(self.dx - self.dy) > 1e-9:
+        if not math.isclose(self.dx, self.dy, rel_tol=1e-9):
             raise ValueError(
                 f"cells must be square: dx={self.dx!r} differs from dy={self.dy!r}"
             )

@@ -311,6 +311,8 @@ class TestTrain:
         ("grid.x_min", float("nan"), "grid"),  # was exit 3 from rasterization
         ("grid", {"x_min": -1e308, "x_max": 1e308, "y_min": -1e308, "y_max": 1e308,
                   "cells_x": 6, "cells_y": 30}, "grid"),  # inf cells: train rasterized one cell
+        ("grid", {"x_min": 0, "x_max": 1e-9, "y_min": 0, "y_max": 4e-9,
+                  "cells_x": 10, "cells_y": 10}, "grid"),  # 4:1 cells were accepted
         ("dataset.synthetic.n_train", 4.7, "dataset.synthetic.n_train"),  # wrote 4 scenes
         ("dataset.synthetic.n_train", True, "dataset.synthetic.n_train"),
         ("dataset.synthetic.n_train", "4", "dataset.synthetic.n_train"),

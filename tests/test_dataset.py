@@ -123,8 +123,9 @@ class TestPowers:
 
 
 @st.composite
-def datasets(draw):
-    """A small Dataset of random counts, coordinates, powers and labels."""
+def sample_lists(draw):
+    """A meta block and a few Samples of random counts (empty clouds
+    included), coordinates, powers and labels, some without powers."""
     c_t = draw(st.integers(1, 4), label="c_t")
     c_r = draw(st.integers(1, 3), label="c_r")
     meta = DatasetMeta(
@@ -161,7 +162,13 @@ def datasets(draw):
             label=label,
             powers=powers,
         ))
-    return Dataset(meta=meta, samples=samples)
+    return meta, samples
+
+
+@st.composite
+def datasets(draw):
+    """A small Dataset of random counts, coordinates, powers and labels."""
+    return Dataset(*draw(sample_lists()))
 
 
 def fbds_records(data):
@@ -417,6 +424,51 @@ class TestRoundTrip:
         assert peak < 256 * 2**10
 
 
+class TestColumns:
+    @settings(max_examples=60, deadline=None)
+    @given(case=sample_lists())
+    def test_samples_round_trip_through_columns(self, case):
+        meta, samples = case
+        ds = Dataset(meta, samples)
+        assert len(ds) == len(ds.samples) == len(samples)
+        for got, want in zip(ds.samples, samples):
+            assert type(got.label) is int and got.label == want.label
+            assert (got.powers is None) == (want.powers is None)
+            for name in ("cloud", "vehicle_pos", "bs_pos", "powers"):
+                a, b = getattr(got, name), getattr(want, name)
+                if b is not None:
+                    assert a.dtype == np.float32 and a.shape == b.shape and a.tobytes() == b.tobytes()
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "c.fbds")
+            save_dataset(ds, path)
+            assert load_dataset_naive(path) == ds
+        # the same floats, one point moved from one scene to the next
+        floats, n_points, *rest = ds.columns
+        donors = np.flatnonzero(n_points)
+        if len(n_points) > 1 and len(donors):
+            moved = n_points.copy()
+            moved[donors[0]] -= 1
+            moved[(donors[0] + 1) % len(moved)] += 1
+            other = Dataset._from_columns(meta, floats, moved, *rest)
+            assert other != ds and ds != other
+
+    def test_samples_are_built_once(self):
+        ds = load_dataset(os.path.join(GOLDEN_DIR, "synth_no_obstacles.fbds"))
+        first = ds.samples
+        assert ds.samples is first
+        assert len({id(s) for s in first}) == len(ds)
+
+    @pytest.mark.parametrize("powers, label, message", [
+        (None, 4, "sample 1: label 4 >= C_t*C_r = 4"),
+        ([1.0, 0.0, 0.0], 0, "sample 1: powers length 3 != 4"),
+    ])
+    def test_contradiction_of_meta_names_first_sample(self, powers, label, message):
+        bad = Sample(cloud=np.zeros((0, 3)), vehicle_pos=np.zeros(3), bs_pos=np.zeros(3),
+                     label=label, powers=powers)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Dataset(small_meta(), [one_sample(), bad, one_sample(n_pairs=5)])
+
+
 class TestPartition:
     def test_even_split(self):
         p = partition_uniform(11000, 5, seed=0)
@@ -572,6 +624,17 @@ class TestIngest:
         back = ingest_external(tmp_path / "exch", tmp_path / "exch" / "ingest.json")
         assert back == ds
 
+    def test_mixed_powers_round_trip(self, tmp_path):
+        ds = generate_synthetic(SynthConfig(obstacles=2), 6, seed=4)
+        mixed = Dataset(ds.meta, [Sample(s.cloud, s.vehicle_pos, s.bs_pos, s.label, s.powers if k % 2 else None)
+                                  for k, s in enumerate(ds.samples)])
+        export_exchange(mixed, tmp_path / "exch")
+        rows = np.load(tmp_path / "exch" / "powers.npy")
+        assert np.isnan(rows[::2]).all() and not np.isnan(rows[1::2]).any()
+        back = ingest_external(tmp_path / "exch")
+        assert back == mixed
+        assert back.powers() is None and back.columns.has_powers.tolist() == [False, True] * 3
+
     def _write_minimal(self, d, n, n_pairs, powers=None, labels=None):
         os.makedirs(d, exist_ok=True)
         with open(os.path.join(d, "meta.json"), "w") as f:
@@ -623,6 +686,39 @@ class TestIngest:
         self._write_minimal(d, 1, 4)
         with pytest.raises(IngestError, match="at least one"):
             ingest_external(d)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 2), (6,)])
+    def test_cloud_not_p_by_3_rejected(self, tmp_path, shape):
+        # (3, 2) and (6,) loaded as 2 points; (2, 2) was numpy's raw reshape error
+        d = str(tmp_path / "x")
+        self._write_minimal(d, 2, 4, labels=np.array([0, 1]))
+        np.save(os.path.join(d, "cloud_000001.npy"), np.zeros(shape, np.float32))
+        with pytest.raises(IngestError, match=re.escape(f"cloud_000001.npy has shape {shape}, expected (P, 3)")):
+            ingest_external(d)
+
+    def test_cloud_over_max_points_rejected(self, tmp_path):
+        d = str(tmp_path / "x")
+        self._write_minimal(d, 1, 4, labels=np.array([0]))
+        np.save(os.path.join(d, "cloud_000000.npy"), np.zeros((3, 3), np.float32))
+        with mock.patch.object(dataset, "MAX_CLOUD_POINTS", 2):
+            with pytest.raises(IngestError, match=re.escape("has shape (3, 3), expected (P, 3) with P <= 2")):
+                ingest_external(d)
+
+    def test_invariant_fault_names_sample_and_file(self, tmp_path):
+        d = str(tmp_path / "x")
+        self._write_minimal(d, 3, 4, labels=np.array([0, -1, 2]))
+        vehicle = np.ones((3, 3), np.float32)
+        vehicle[2, 1] = np.nan
+        np.save(os.path.join(d, "vehicle_pos.npy"), vehicle)
+        with pytest.raises(IngestError, match=re.escape(
+                "sample 2 (cloud_000002.npy) violates invariants: vehicle_pos holds non-finite coordinates")):
+            ingest_external(d)
+
+    def test_label_is_argmax_of_float32_powers(self, tmp_path):
+        # one float32 value: the float64 argmax 1 contradicted the stored row
+        d = str(tmp_path / "x")
+        self._write_minimal(d, 1, 4, powers=np.array([[0.1, 0.1 + 1e-12, 0.0, 0.0]]))
+        assert ingest_external(d).labels().tolist() == [0]
 
     @pytest.mark.parametrize("key, value", [
         ("seed", "x"),  # was a raw TypeError from the u64 comparison

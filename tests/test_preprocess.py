@@ -26,6 +26,12 @@ class TestGridConfig:
         with pytest.raises(ValueError, match="square"):
             GridConfig(x_min=0, x_max=10, y_min=0, y_max=10, cells_x=10, cells_y=20)
 
+    def test_tiny_non_square_cells_rejected(self):
+        # dx = 1e-10 and dy = 4e-10 differ by less than 1e-9 m, an absolute
+        # tolerance this grid passed; the cells are 4:1
+        with pytest.raises(ValueError, match="square"):
+            GridConfig(x_min=0, x_max=1e-9, y_min=0, y_max=4e-9, cells_x=10, cells_y=10)
+
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError):
             GridConfig(x_min=0, x_max=0, y_min=0, y_max=10, cells_x=1, cells_y=10)
