@@ -26,7 +26,7 @@ from .dataset import (
     load_dataset,
     save_dataset,
 )
-from .errors import FedBeamError, NumericError, require_int
+from .errors import FedBeamError, NumericError, require_int, require_keys
 from .evaluation import (
     REFERENCE_RESULTS,
     CentralTrainConfig,
@@ -43,6 +43,8 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 CONFIG_VERSION = 1
+CONFIG_KEYS = ("version", "dataset", "grid", "architecture", "mode", "seed", "central", "federated",
+               "k_max", "n_runs", "output_dir")
 
 
 class ConfigError(Exception):
@@ -105,6 +107,8 @@ def _parse_dataset(ds):
     _require(len(sources) == 1,
              "dataset", f"exactly one of synthetic/train_file/train_ingest required, got {sources}")
     kind = sources[0]
+    with _field("dataset"):
+        require_keys(ds, (kind,) if kind == "synthetic" else (kind, kind.replace("train", "test")))
     if kind == "synthetic":
         synth = ds["synthetic"]
         _require(isinstance(synth, dict), "dataset.synthetic", "must be an object")
@@ -127,6 +131,8 @@ def _parse_dataset(ds):
             continue
         _require(isinstance(entry, dict) and "directory" in entry,
                  f"dataset.{key}", "must be an object with a 'directory'")
+        with _field(f"dataset.{key}"):
+            require_keys(entry, ("directory", "spec"))
         _path(entry["directory"], f"dataset.{key}.directory", os.path.isdir, "not a directory")
         if "spec" in entry:
             _path(entry["spec"], f"dataset.{key}.spec")
@@ -159,6 +165,8 @@ def _parse_grid(raw):
 def load_experiment_config(path, seed_override=None):
     """Parse and fully validate an experiment config document."""
     raw = _read_config(path)
+    with _field("config"):
+        require_keys(raw, CONFIG_KEYS)
     dataset = _parse_dataset(raw.get("dataset"))
     grid = _parse_grid(raw)
     arch = raw.get("architecture", "default")

@@ -435,6 +435,16 @@ class SynthConfig:
                 raise ValueError(f"{name} must satisfy 0 < low <= high, got ({lo}, {hi})")
         if self.point_spacing <= 0:
             raise ValueError("point_spacing must be positive")
+        # _perimeter_points' count at the largest box, floor(extent / spacing)
+        # + 1 a face, for every obstacle; extent / spacing may overflow to
+        # inf, so it is capped where floor is still exact
+        per_box = 0
+        for size, lo, hi in ((self.obstacle_size_x, x0, x1), (self.obstacle_size_y, y0, y1)):
+            along = min(float(size[1]), float(hi) - float(lo)) / self.point_spacing
+            per_box += 2 * (math.floor(min(along, 2.0**62)) + 1)
+        if self.obstacles * per_box > MAX_CLOUD_POINTS:
+            raise ValueError(f"point_spacing {self.point_spacing!r} and obstacles {self.obstacles} ask for up "
+                             f"to {self.obstacles * per_box} perimeter points a scene, max {MAX_CLOUD_POINTS}")
         # u16 antenna and codebook counts; the area as .fbds stores it, in float32
         x0, x1, y0, y1 = self.meta(0).area
         if x1 <= x0 or y1 <= y0:

@@ -50,6 +50,17 @@ def require_int(name, value, least, most=None):
         raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
+def require_keys(d, known, name=None):
+    """TypeError unless d is a dict, ValueError if it has a key outside
+    known: a mistyped key is an error, not a silently dropped setting."""
+    prefix = f"{name}: " if name else ""
+    if not isinstance(d, dict):
+        raise TypeError(f"{prefix}must be an object, got {d!r}")
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise ValueError(f"{prefix}unknown key {unknown[0]!r} (known: {', '.join(known)})")
+
+
 def is_finite_real(value):
     """True for a finite real number that is not a bool; an integer too large
     for a float is not finite."""

@@ -12,18 +12,22 @@ empirical cross-entropy, including the path through the batch statistics
 of batch norm. No autodiff framework is involved, which keeps the trainable
 state small enough to ship around in a federated setting.
 
-In eval mode batch norm reads the running statistics, a fixed per-channel
-affine map, so forward folds it into each conv's weights and bias once per
-call and runs the conv followed by PReLU. Eval keeps nothing for a
-backward, so forward runs the whole layer stack over EVAL_BATCH samples at
-a time, PReLU writing straight into the next conv's padded input: a large
-batch holds one slice's activations and column matrices at a time, and its
-probabilities equal those of its slices evaluated one by one, to the bit.
-
-The train step keeps batch norm as its own pass, since the backward needs
-its normalized activations. PReLU runs without np.where in both
-directions: max(x, s*x) (min above a slope of 1) forward, and the slope
-product overwritten with the incoming gradient where x > 0 backward.
+Train and eval run their convs through one loop, _conv_stack: conv, a
+normalize step, then PReLU written straight into the next conv's padded
+input. In eval mode batch norm reads the running statistics, a fixed
+per-channel affine map, so forward folds it into each conv's weights and
+bias once per call and the step is the identity; in train mode the step
+is batch norm with batch statistics, caching what the backward needs. The
+loop allocates the next padded buffer once normalize has returned, by when
+eval has freed the conv's column matrix, and frees the conv output right
+after its PReLU: an eval layer holds its input and output with either its
+column matrix or the next padded buffer, and no output outlives its layer.
+Eval runs the stack over EVAL_BATCH samples at a time: a large batch
+holds one slice's activations and column matrices at a time, and its
+probabilities equal those of its slices evaluated one by one, to the
+bit. PReLU runs without np.where in both directions: max(x, s*x) (min
+above a slope of 1) forward, and the slope product overwritten with the
+incoming gradient where x > 0 backward.
 
 Every conv GEMM (output, weight gradient, input gradient) runs once per
 sample. At the default architecture each product is at most 5x45x1000,
@@ -32,19 +36,19 @@ calling thread: fedavg runs vehicles and eval batches on every CPU, and
 those threads would otherwise queue on one BLAS pool. The weight gradient
 is also several times faster this way than as one long-inner-dimension
 product. A step keeps its memory small, since each such thread holds its
-own freed buffers: PReLU writes straight into the next conv's padded
-input, conv0's column matrix is rebuilt in the backward from the batch,
-and each layer's cache is dropped once the backward has used it.
+own freed buffers: the backward rebuilds conv0's column matrix from the
+batch and drops each layer's cache once it has used it.
 """
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import BoundedReader, IntegrityError, NumericError, require_int
+from .errors import BoundedReader, IntegrityError, NumericError, require_int, require_keys
 
 __all__ = [
     "ConvSpec",
@@ -149,6 +153,9 @@ class ArchitectureSpec:
 
     @classmethod
     def from_dict(cls, d):
+        require_keys(d, ("input_shape", "convs", "hidden", "n_classes"))
+        for k, c in enumerate(d["convs"]):
+            require_keys(c, ("in_channels", "out_channels", "kernel", "stride", "padding"), f"conv {k}")
         return cls(
             input_shape=tuple(d["input_shape"]),
             convs=tuple(
@@ -184,19 +191,33 @@ def default_architecture(input_shape=(20, 200), n_classes=256):
 
 
 class ParamLayout:
-    """Maps named segments (conv0.weight, bn0.scale, ...) into the flat vector."""
+    """Maps a spec's named segments (conv0.weight, bn0.scale, ...) into the
+    flat vector. entries holds (name, offset, shape) in layer order, which is
+    also the .fbnn parameter order."""
 
-    def __init__(self, entries):
-        self.entries = tuple(entries)
+    def __init__(self, spec):
         self._index = {}
-        total = 0
-        for name, offset, shape in self.entries:
-            size = 1
-            for d in shape:
-                size *= d
-            self._index[name] = (offset, size, shape)
-            total = max(total, offset + size)
-        self.total = total
+        self.total = 0
+        for k, conv in enumerate(spec.convs):
+            self._add(f"conv{k}.weight", (conv.out_channels, conv.in_channels, *conv.kernel))
+            self._add(f"conv{k}.bias", (conv.out_channels,))
+            self._add(f"bn{k}.scale", (conv.out_channels,))
+            self._add(f"bn{k}.shift", (conv.out_channels,))
+            self._add(f"prelu{k}.slope", (conv.out_channels,))
+        flat = spec.flat_features
+        if spec.hidden is not None:
+            self._add("linear1.weight", (spec.hidden, flat))
+            self._add("linear1.bias", (spec.hidden,))
+            flat = spec.hidden
+        if spec.n_classes is not None:
+            self._add("linear2.weight", (spec.n_classes, flat))
+            self._add("linear2.bias", (spec.n_classes,))
+        self.entries = tuple((name, offset, shape) for name, (offset, _, shape) in self._index.items())
+
+    def _add(self, name, shape):
+        size = math.prod(shape)
+        self._index[name] = (self.total, size, shape)
+        self.total += size
 
     def view(self, theta, name):
         offset, size, shape = self._index[name]
@@ -205,30 +226,7 @@ class ParamLayout:
 
 @lru_cache(maxsize=128)
 def build_layout(spec):
-    entries = []
-    offset = 0
-
-    def add(name, shape):
-        nonlocal offset
-        entries.append((name, offset, tuple(shape)))
-        offset += int(np.prod(shape))
-
-    for k, conv in enumerate(spec.convs):
-        kh, kw = conv.kernel
-        add(f"conv{k}.weight", (conv.out_channels, conv.in_channels, kh, kw))
-        add(f"conv{k}.bias", (conv.out_channels,))
-        add(f"bn{k}.scale", (conv.out_channels,))
-        add(f"bn{k}.shift", (conv.out_channels,))
-        add(f"prelu{k}.slope", (conv.out_channels,))
-    flat = spec.flat_features
-    if spec.hidden is not None:
-        add("linear1.weight", (spec.hidden, flat))
-        add("linear1.bias", (spec.hidden,))
-        flat = spec.hidden
-    if spec.n_classes is not None:
-        add("linear2.weight", (spec.n_classes, flat))
-        add("linear2.bias", (spec.n_classes,))
-    return ParamLayout(entries)
+    return ParamLayout(spec)
 
 
 def count_params(spec):
@@ -424,26 +422,23 @@ def _head(spec, theta, layout, flat):
     return _softmax(logits), pre, h
 
 
-def _flatten(x):
-    """(C, B, H, W) activations to (B, C*H*W), keeping (C, H, W) ordering per
-    sample to match the layout table."""
-    return x.transpose(1, 0, 2, 3).reshape(x.shape[1], -1)
+def _conv_stack(spec, theta, layout, batch, weights, normalize):
+    """Run the conv layers over a (B, 1, H, W) batch; return the last PReLU
+    output as (B, C*H*W), in the layout table's per-sample (C, H, W) order.
 
-
-def _forward_eval(spec, theta, layout, folded, batch):
-    """Eval-mode probabilities of a (B, 1, H, W) batch, each conv run with
-    its folded (weight, bias) and PReLU'd straight into the next conv's
-    padded input."""
+    Conv k runs with weights[k] = (w, b), and normalize(k, z, cols, xp) maps
+    its output z (given its column matrix and padded input) to the PReLU
+    input. The allocation order is the one the module docstring states.
+    """
     pads = [conv.padding for conv in spec.convs] + [0]
-    shapes = spec.feature_shapes()
     xp, x = _padded(1, len(batch), *spec.input_shape, pads[0], theta.dtype)
     x[...] = batch.transpose(1, 0, 2, 3)
-    for k, (conv, (w, b)) in enumerate(zip(spec.convs, folded)):
-        c_out, h_out, w_out = shapes[k + 1]
-        xp_next, x = _padded(c_out, len(batch), h_out, w_out, pads[k + 1], theta.dtype)
-        _prelu(_conv_forward(xp, w, b, conv)[0], layout.view(theta, f"prelu{k}.slope"), out=x)
-        xp = xp_next
-    return _head(spec, theta, layout, _flatten(x))[0]
+    for k, (conv, (w, b)) in enumerate(zip(spec.convs, weights)):
+        z = normalize(k, *_conv_forward(xp, w, b, conv), xp)
+        xp, x = _padded(*z.shape, pads[k + 1], theta.dtype)
+        _prelu(z, layout.view(theta, f"prelu{k}.slope"), out=x)
+        del z  # freed before the next conv runs
+    return x.transpose(1, 0, 2, 3).reshape(len(batch), -1)
 
 
 def forward(spec, theta, bn_state, batch, mode="eval"):
@@ -488,34 +483,19 @@ def forward(spec, theta, bn_state, batch, mode="eval"):
                            (b - bn_state.means[k].astype(dtype)) * scale + layout.view(theta, f"bn{k}.shift")))
         probs = np.empty((batch.shape[0], spec.n_classes), dtype=dtype)
         for s in range(0, batch.shape[0], EVAL_BATCH):
-            probs[s : s + EVAL_BATCH] = _forward_eval(spec, theta, layout, folded, batch[s : s + EVAL_BATCH])
+            flat = _conv_stack(spec, theta, layout, batch[s : s + EVAL_BATCH], folded, lambda k, z, cols, xp: z)
+            probs[s : s + EVAL_BATCH] = _head(spec, theta, layout, flat)[0]
+            del flat  # a slice's buffers are freed before the next one runs
         return probs
 
-    # channels-first internal layout: (C, B, H, W). Each conv reads a zeroed
-    # buffer padded for it (xp), and the layer before it writes straight
-    # into the buffer's interior (x)
-    pads = [conv.padding for conv in spec.convs] + [0]
-    xp, x = _padded(1, batch.shape[0], *spec.input_shape, pads[0], dtype)
-    x[...] = batch.transpose(1, 0, 2, 3)
-    cache = {"layout": layout, "convs": []}
+    cache = {"convs": []}
 
-    for k, conv in enumerate(spec.convs):
-        w = layout.view(theta, f"conv{k}.weight")
-        b = layout.view(theta, f"conv{k}.bias")
-        gamma = layout.view(theta, f"bn{k}.scale")
-        beta = layout.view(theta, f"bn{k}.shift")
-        slope = layout.view(theta, f"prelu{k}.slope")
-
-        entry = {"conv": conv, "in_shape": x.shape}
-        z, cols = _conv_forward(xp, w, b, conv)
+    def batch_norm(k, z, cols, xp):
+        """Normalize z in place with its batch statistics, fold them into
+        the running statistics, and cache what the backward needs."""
         # conv0's cols are kh*kw shifted copies of the one-channel batch, so
         # the backward rebuilds them from it rather than hold them all step
-        if k:
-            entry["cols"] = cols
-        else:
-            entry["xp"] = xp
-        del cols
-
+        entry = {"cols": cols} if k else {"xp": xp}
         m = z.shape[1] * z.shape[2] * z.shape[3]
         mu = z.mean(axis=(1, 2, 3))
         z -= mu[:, None, None, None]
@@ -529,16 +509,15 @@ def forward(spec, theta, bn_state, batch, mode="eval"):
         inv = 1.0 / np.sqrt(var + BN_EPS)
         z *= inv[:, None, None, None]
         xhat = z  # normalized activations; z is consumed in place
-        bn_out = gamma[:, None, None, None] * xhat
-        bn_out += beta[:, None, None, None]
-
-        xp, x = _padded(*bn_out.shape, pads[k + 1], dtype)
-        _prelu(bn_out, slope, out=x)  # bn_out stays cached
+        bn_out = layout.view(theta, f"bn{k}.scale")[:, None, None, None] * xhat
+        bn_out += layout.view(theta, f"bn{k}.shift")[:, None, None, None]
         entry.update(inv=inv, xhat=xhat, bn_out=bn_out)
         cache["convs"].append(entry)
+        return bn_out
 
-    cache["flat_in"] = _flatten(x)
-    cache["conv_out_shape"] = x.shape
+    weights = [(layout.view(theta, f"conv{k}.weight"), layout.view(theta, f"conv{k}.bias"))
+               for k in range(len(spec.convs))]
+    cache["flat_in"] = _conv_stack(spec, theta, layout, batch, weights, batch_norm)
     probs, cache["linear1_pre"], cache["head_in"] = _head(spec, theta, layout, cache["flat_in"])
     return probs, cache
 
@@ -564,7 +543,7 @@ def loss_and_grad(spec, theta, bn_state, batch, labels):
         raise ValueError(f"label {bad} out of range [0, {spec.n_classes})")
 
     probs, cache = forward(spec, theta, bn_state, batch, mode="train")
-    layout = cache["layout"]
+    layout = build_layout(spec)
     n = batch.shape[0]
     eps_floor = np.finfo(probs.dtype).tiny
     loss = float(-np.mean(np.log(np.maximum(probs[np.arange(n), labels], eps_floor))))
@@ -590,11 +569,10 @@ def loss_and_grad(spec, theta, bn_state, batch, labels):
     else:
         dflat = dh
 
-    c_out, b_out, h_out, w_out = cache["conv_out_shape"]
-    dx = dflat.reshape(b_out, c_out, h_out, w_out).transpose(1, 0, 2, 3)
+    dx = dflat.reshape(n, *spec.feature_shapes()[-1]).transpose(1, 0, 2, 3)
     for k in range(len(spec.convs) - 1, -1, -1):
         c = cache["convs"].pop()  # each layer's cache is freed once used
-        conv = c["conv"]
+        conv = spec.convs[k]
         gamma = layout.view(theta, f"bn{k}.scale")
         slope = layout.view(theta, f"prelu{k}.slope")
 
@@ -625,8 +603,10 @@ def loss_and_grad(spec, theta, bn_state, batch, labels):
         dz = dbn  # accumulated in place
 
         w = layout.view(theta, f"conv{k}.weight")
+        # conv k's input is conv k-1's PReLU output, of that layer's bn_out shape
         cols = c["cols"] if k else _im2col(c["xp"], conv)[0]
-        dw, db, dx = _conv_backward(dz, cols, w, conv, c["in_shape"], need_dx=k > 0)
+        in_shape = cache["convs"][-1]["bn_out"].shape if k else None
+        dw, db, dx = _conv_backward(dz, cols, w, conv, in_shape, need_dx=k > 0)
         layout.view(grad, f"conv{k}.weight")[...] = dw
         layout.view(grad, f"conv{k}.bias")[...] = db
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import is_finite_real, require_int
+from .errors import is_finite_real, require_int, require_keys
 
 __all__ = ["GridConfig", "lidar_to_grid", "default_grid"]
 
@@ -66,7 +66,9 @@ class GridConfig:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**{k: d[k] for k in ("x_min", "x_max", "y_min", "y_max", "cells_x", "cells_y")})
+        keys = ("x_min", "x_max", "y_min", "y_max", "cells_x", "cells_y")
+        require_keys(d, keys)
+        return cls(**{k: d[k] for k in keys})
 
 
 def default_grid():
@@ -78,13 +80,6 @@ def _cell_index(coords, lo, n_cells, delta):
     """Half-open binning of in-box coordinates, clamped into the last cell
     (the upper box edge, and a quotient that rounds up to n_cells)."""
     return np.minimum(np.floor((coords - lo) / delta).astype(np.int64), n_cells - 1)
-
-
-def _marker_cell(x, y, cfg):
-    """(ix, iy) of one in-box position, binned as _cell_index bins points."""
-    ix = min(math.floor((x - cfg.x_min) / cfg.dx), cfg.cells_x - 1)
-    iy = min(math.floor((y - cfg.y_min) / cfg.dy), cfg.cells_y - 1)
-    return ix, iy
 
 
 def lidar_to_grid(sample, cfg):
@@ -103,6 +98,9 @@ def lidar_to_grid(sample, cfg):
     if not (cfg.y_min <= vy <= cfg.y_max):
         raise ValueError(f"vehicle y={vy} outside grid box [{cfg.y_min}, {cfg.y_max}]")
 
+    def cell(x, y):
+        return _cell_index(x, cfg.x_min, cfg.cells_x, cfg.dx), _cell_index(y, cfg.y_min, cfg.cells_y, cfg.dy)
+
     cells = np.zeros(cfg.shape, dtype=np.int8)
     pts = np.asarray(sample.cloud, dtype=np.float64).reshape(-1, 3)
     if pts.shape[0]:
@@ -111,12 +109,10 @@ def lidar_to_grid(sample, cfg):
         dropped = int(pts.shape[0] - np.count_nonzero(inside))
         if dropped:
             log.debug("lidar_to_grid: discarded %d of %d points outside the box", dropped, pts.shape[0])
-        ix = _cell_index(x[inside], cfg.x_min, cfg.cells_x, cfg.dx)
-        iy = _cell_index(y[inside], cfg.y_min, cfg.cells_y, cfg.dy)
-        cells[ix, iy] = CODE_OCCUPIED
+        cells[cell(x[inside], y[inside])] = CODE_OCCUPIED
 
     bx, by = float(sample.bs_pos[0]), float(sample.bs_pos[1])
     if cfg.x_min <= bx <= cfg.x_max and cfg.y_min <= by <= cfg.y_max:
-        cells[_marker_cell(bx, by, cfg)] = CODE_BS
-    cells[_marker_cell(vx, vy, cfg)] = CODE_VEHICLE
+        cells[cell(bx, by)] = CODE_BS
+    cells[cell(vx, vy)] = CODE_VEHICLE
     return cells

@@ -321,13 +321,20 @@ class TestTrain:
         ("k_max", True, "k_max"),
         ("k_max", 10.9, "k_max"),
         ("n_runs", 1.9, "n_runs"),
+        ("mdoe", "federated", "config"),  # trained in central mode
+        ("architecture.hiden", 16, "architecture"),  # trained without the hidden layer
+        ("architecture.convs.0.strides", 1, "architecture"),
+        ("grid.cellz", 3, "grid"),
+        ("dataset.test_file", "x.fbds", "dataset"),  # ignored beside a synthetic source
+        ("dataset.synthetic.point_spacing", 1e-9, "dataset.synthetic"),  # 1e11 points a scene
+        ("dataset.synthetic.obstacles", 10**6, "dataset.synthetic"),
     ])
     def test_mistyped_field_exit_2(self, tmp_path, capsys, path, value, field):
         bad = micro_config()
         *parents, key = path.split(".")
         node = bad
-        for name in parents:
-            node = node[name]
+        for name in parents:  # a numeric name indexes a list
+            node = node[int(name)] if isinstance(node, list) else node[name]
         node[key] = value
         cfg_path = write_config(tmp_path, bad)
         out = tmp_path / "out"

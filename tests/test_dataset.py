@@ -591,6 +591,27 @@ class TestSynthetic:
         with pytest.raises(ValueError, match="^area must stay finite as float32"):
             DatasetMeta(1, 1, 1, 1, 1, (0, 1e39, 0, 1), 0)
 
+    @pytest.mark.parametrize("overrides", [
+        {"point_spacing": 1e-9},  # about 1e11 points a scene
+        {"obstacles": 10**6},  # 4e7 points a scene
+        {"point_spacing": 5e-324},  # extent / spacing is inf
+        # a 1 m box at 1 m spacing has 2 points on each face, 8 in all
+        {"obstacles": 2**17 + 1, "obstacle_size_x": (1, 1), "obstacle_size_y": (1, 1), "point_spacing": 1},
+    ])
+    def test_perimeter_points_bounded_at_parse_time(self, overrides):
+        with pytest.raises(ValueError, match=r"^point_spacing \S+ and obstacles \d+ ask for up to \d+ "
+                                             r"perimeter points a scene, max 1048576$"):
+            SynthConfig(**overrides)
+
+    @pytest.mark.parametrize("overrides", [
+        {"obstacles": 2**17, "obstacle_size_x": (1, 1), "obstacle_size_y": (1, 1), "point_spacing": 1},
+        # boxes are clamped to the 10 x 100 m area: 2 * 10001 + 2 * 100001 points
+        {"obstacles": 1, "obstacle_size_x": (1, 1e12), "obstacle_size_y": (1, 1e12), "point_spacing": 1e-3},
+        {"obstacles": 0, "point_spacing": 1e-300},
+    ])
+    def test_perimeter_bound_accepts_what_fits(self, overrides):
+        SynthConfig(**overrides)
+
     def test_float32_bound_matches_the_cast(self):
         edge = 2.0**128 - 2.0**103
         for v in (edge, np.nextafter(edge, 0), np.nextafter(edge, np.inf), float(np.finfo(np.float32).max)):

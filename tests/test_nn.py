@@ -1,3 +1,5 @@
+import json
+import struct
 import tracemalloc
 from dataclasses import asdict
 
@@ -502,6 +504,60 @@ class TestInt8Input:
         np.testing.assert_array_equal(bn.stat_vector(), bn_cast.stat_vector())
 
 
+def eval_layer_bytes(spec, batch, itemsize):
+    """Bytes that the eval forward holds at most while a conv layer runs over
+    a slice of batch samples: its padded input and its output, with its
+    column matrix during the conv or the next conv's padded buffer during
+    PReLU."""
+    shapes = spec.feature_shapes()
+    pads = [conv.padding for conv in spec.convs] + [0]
+    worst = 0
+    for k, conv in enumerate(spec.convs):
+        (c, h, w), (o, oh, ow) = shapes[k], shapes[k + 1]
+        padded_in = c * (h + 2 * pads[k]) * (w + 2 * pads[k])
+        padded_out = o * (oh + 2 * pads[k + 1]) * (ow + 2 * pads[k + 1])
+        cols = c * conv.kernel[0] * conv.kernel[1] * oh * ow
+        worst = max(worst, padded_in + o * oh * ow + max(cols, padded_out))
+    return worst * batch * itemsize
+
+
+class TestMemoryGates:
+    """tracemalloc peaks of the default network, with at most 5% slack."""
+
+    SPEC = default_architecture(n_classes=64)
+
+    @staticmethod
+    def peak(fn):
+        fn()  # the layout table and other caches are built before the measurement
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def case(self, batch):
+        spec = self.SPEC
+        theta, bn, rng = trained_bn_case(spec, 26, np.float32)
+        x = rng.integers(-2, 2, (batch, 1, *spec.input_shape)).astype(np.int8)
+        return spec, theta, bn, x, rng.integers(0, spec.n_classes, batch)
+
+    @pytest.mark.parametrize("batch", [16, 256])
+    def test_eval_forward_holds_one_layer_at_a_time(self, batch):
+        # 4.42 MiB at B=16 and 4.48 MiB at B=256 with numpy 2.4: conv1's
+        # input, column matrix and output, and the probabilities. Allocating
+        # the next padded buffer before the conv gives 5.06 MiB, and a conv
+        # output kept alive into the next layer's conv 6.02 MiB
+        spec, theta, bn, x, _ = self.case(batch)
+        bound = eval_layer_bytes(spec, min(batch, EVAL_BATCH), 4) + batch * spec.n_classes * 4
+        assert self.peak(lambda: forward(spec, theta, bn, x, mode="eval")) <= 1.05 * bound
+
+    def test_train_step_b16(self):
+        # 13.65 MiB with numpy 2.4
+        spec, theta, bn, x, labels = self.case(16)
+        assert self.peak(lambda: loss_and_grad(spec, theta, bn.copy(), x, labels)) <= 1.05 * 13.65 * 2**20
+
+
 class TestOptimizers:
     def test_sgd_examples(self):
         np.testing.assert_allclose(sgd_step(np.array([1.0]), np.array([0.5]), 0.2), [0.9])
@@ -592,6 +648,22 @@ class TestCheckpoint:
             # the header is the magic and the version, 8 bytes
             with pytest.raises(FormatError if n < 8 else IntegrityError):
                 load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [lambda d: d.update(hiden=16), lambda d: d["convs"][0].update(strides=1)],
+                             ids=["spec", "conv"])
+    def test_unknown_spec_key_is_integrity_error(self, tmp_path, edit):
+        spec = micro_spec()
+        theta, bn = init_params(spec, seed=4)
+        path = tmp_path / "model.fbnn"
+        save_checkpoint(spec, theta, bn, path)
+        data = path.read_bytes()
+        (n,) = struct.unpack_from("<I", data, 8)
+        d = json.loads(data[12 : 12 + n])
+        edit(d)
+        spec_json = json.dumps(d).encode()
+        path.write_bytes(data[:8] + struct.pack("<I", len(spec_json)) + spec_json + data[12 + n :])
+        with pytest.raises(IntegrityError, match="unknown key"):
+            load_checkpoint(path)
 
     def test_param_count_mismatch(self, tmp_path):
         spec = micro_spec()

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 
 from fedbeam.dataset import Dataset, DatasetMeta, Sample, SynthConfig, generate_synthetic
 from fedbeam.fedavg import preprocess_dataset
-from fedbeam.preprocess import GridConfig, _cell_index, _marker_cell, default_grid, lidar_to_grid
+from fedbeam.preprocess import GridConfig, _cell_index, default_grid, lidar_to_grid
 
 
 def box10():
@@ -298,5 +297,5 @@ class TestBinningProperty:
         idx = _cell_index(coords, lo, n, delta)
         assert np.all((0 <= idx) & (idx <= n - 1))
         np.testing.assert_array_equal(idx[raw < n], raw[raw < n])
-        cfg = SimpleNamespace(x_min=lo, y_min=lo, dx=delta, dy=delta, cells_x=n, cells_y=n)
-        assert [_marker_cell(c, c, cfg) for c in coords.tolist()] == [(i, i) for i in idx.tolist()]
+        # lidar_to_grid bins the vehicle and BS markers one Python float at a time
+        assert [_cell_index(c, lo, n, delta) for c in coords.tolist()] == idx.tolist()
